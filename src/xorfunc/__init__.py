@@ -48,7 +48,6 @@ from .errors import (
 from .filters import (
     BackendParams,
     BloomierFilter,
-    MembershipFilter,
     bloom_comparison,
     build_bloomier,
     build_filter,

@@ -31,7 +31,7 @@ from .hashing import (
 )
 
 DEFAULT_RETRY_CAP = 64
-_SPLIT_SHARE_T = 1 << 32
+SPLIT_SHARE_T = 1 << 32
 
 Pair = tuple[bytes, int]
 
@@ -68,9 +68,18 @@ def threshold_warning(k: int, delta: float) -> None:
         )
 
 
+class Retrieval:
+    """Verify rule shared by the retrieval kinds: every key returns its value."""
+
+    def verify(self, pairs: Iterable[Pair]) -> bool:
+        return all(self.query(key) == value for key, value in pairs)
+
+
 @dataclass(eq=False)
-class RetrievalStructure:
+class RetrievalStructure(Retrieval):
     """Seeds plus a table of m r-bit entries; query XORs k probed entries."""
+
+    kind = "basic"
 
     n: int
     m: int
@@ -93,9 +102,21 @@ class RetrievalStructure:
     def table_bits(self) -> int:
         return self.m * self.r
 
+    def query(self, key: bytes) -> int:
+        """Stored value for construction keys; some r-bit value for any other key."""
+        if self.m == 0 or self.k > self.m:
+            return 0
+        acc = 0
+        for j in self.probes(key):
+            acc ^= int(self.table[j])
+        return acc
+
+    def stats(self) -> list[str]:
+        return [f"k: {self.k}", f"seed_generation: {self.seed_generation}"]
+
 
 @dataclass(eq=False)
-class CompressedRetrieval:
+class CompressedRetrieval(Retrieval):
     """Only the n significant table entries, addressed through a rank bitvector."""
 
     base: np.ndarray  # entries at the marked columns, in column order
@@ -113,10 +134,22 @@ class CompressedRetrieval:
     def m(self) -> int:
         return len(self.membership)
 
+    def query(self, key: bytes) -> int:
+        """Same answer as the uncompressed structure; non-pivot probes contribute 0."""
+        if self.m == 0 or self.k > self.m:
+            return 0
+        acc = 0
+        for j in distinct_k_set(key, self.k, self.m, self._hashers):
+            if self.membership.get(j):
+                acc ^= int(self.base[self.membership.rank1(j)])
+        return acc
+
 
 @dataclass(eq=False)
-class SplitShareRetrieval:
+class SplitShareRetrieval(Retrieval):
     """Per-chunk XOR-probe segments driven by shared-table simulated hashing."""
+
+    kind = "basic"
 
     n: int
     k: int
@@ -143,6 +176,26 @@ class SplitShareRetrieval:
     def _chunk_hashers(self, chunk: int) -> list[ChunkHasher]:
         gen = self.chunk_generations[chunk]
         return [ChunkHasher(self.provider, chunk, gen * self.k + l + 1) for l in range(self.k)]
+
+    def query(self, key: bytes) -> int:
+        """XOR of k probes in the segment of the key's chunk."""
+        ci = self.provider.chunk_of(key)
+        start = int(self.chunk_offsets[ci])
+        seg_len = int(self.chunk_offsets[ci + 1]) - start
+        if seg_len == 0:
+            return 0
+        acc = 0
+        for j in distinct_k_set(key, self.k, seg_len, self._chunk_hashers(ci)):
+            acc ^= int(self.table[start + j])
+        return acc
+
+    def stats(self) -> list[str]:
+        return [
+            f"k: {self.k}",
+            "split_share: true",
+            f"chunks: {self.provider.num_chunks}",
+            f"max_chunk: {self.provider.max_chunk}",
+        ]
 
 
 def build(
@@ -197,7 +250,7 @@ def build(
 def _build_split_share(
     items: list[Pair], r: int, k: int, delta: float, seed: int, retry_cap: int
 ) -> SplitShareRetrieval:
-    provider = build_split_share([key for key, _ in items], L=k, t=_SPLIT_SHARE_T, seed=seed)
+    provider = build_split_share([key for key, _ in items], L=k, t=SPLIT_SHARE_T, seed=seed)
     chunks: list[list[Pair]] = [[] for _ in range(provider.num_chunks)]
     for key, value in items:
         chunks[provider.chunk_of(key)].append((key, value))
@@ -241,30 +294,14 @@ def _build_split_share(
     )
 
 
-def query(d: "RetrievalStructure | SplitShareRetrieval", key: bytes) -> int:
-    """Stored value for construction keys; some r-bit value for any other key."""
-    if isinstance(d, SplitShareRetrieval):
-        ci = d.provider.chunk_of(key)
-        start = int(d.chunk_offsets[ci])
-        seg_len = int(d.chunk_offsets[ci + 1]) - start
-        if seg_len == 0:
-            return 0
-        acc = 0
-        for j in distinct_k_set(key, d.k, seg_len, d._chunk_hashers(ci)):
-            acc ^= int(d.table[start + j])
-        return acc
-    if d.m == 0 or d.k > d.m:
-        return 0
-    acc = 0
-    for j in d.probes(key):
-        acc ^= int(d.table[j])
-    return acc
+def query(structure, key: bytes):
+    """Answer of any structure kind for ``key``; see each kind's ``query``."""
+    return structure.query(key)
 
 
-def verify(d, pairs: Iterable[Pair]) -> bool:
-    """True iff every pair's query returns its stored value."""
-    lookup = query_compressed if isinstance(d, CompressedRetrieval) else query
-    return all(lookup(d, key) == value for key, value in pairs)
+def verify(structure, pairs: Iterable[Pair]) -> bool:
+    """True iff the structure answers every pair as its kind's ``verify`` requires."""
+    return structure.verify(pairs)
 
 
 def compress(d: RetrievalStructure, pivots: Sequence[int]) -> CompressedRetrieval:
@@ -288,12 +325,4 @@ def compress(d: RetrievalStructure, pivots: Sequence[int]) -> CompressedRetrieva
     )
 
 
-def query_compressed(c: CompressedRetrieval, key: bytes) -> int:
-    """Same answer as the uncompressed structure; non-pivot probes contribute 0."""
-    if c.m == 0 or c.k > c.m:
-        return 0
-    acc = 0
-    for j in distinct_k_set(key, c.k, c.m, c._hashers):
-        if c.membership.get(j):
-            acc ^= int(c.base[c.membership.rank1(j)])
-    return acc
+query_compressed = CompressedRetrieval.query

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .basic import Pair, check_values, normalize_pairs, threshold_warning
+from .basic import Pair, Retrieval, check_values, normalize_pairs, threshold_warning
 from .errors import KTooLarge, RandomnessExhausted
 from .gf2 import XorReduction, reduce_xor_system, solve_xor_system
 from .gf2 import system_full_rank  # noqa: F401  perfbench/layertrace.py patches it here
@@ -46,7 +46,9 @@ def secondary_size(n_prime: int) -> int:
 
 
 @dataclass(eq=False)
-class BlockedRetrieval:
+class BlockedRetrieval(Retrieval):
+    kind = "blocked"
+
     n: int
     r: int
     k: int
@@ -90,6 +92,26 @@ class BlockedRetrieval:
 
     def block_of(self, key: bytes) -> int:
         return self._splitter.hash_to_range(key, self.m0)
+
+    def query(self, key: bytes) -> int:
+        """XOR of k probes in the key's segment and 3 probes in the secondary."""
+        base = self.block_of(key) * self.segment_len
+        acc = 0
+        for j in distinct_k_set(key, self.k, self.segment_len, self._primary_hashers):
+            acc ^= int(self.primary[base + j])
+        if self.secondary_len:
+            for j in distinct_k_set(key, SECONDARY_K, self.secondary_len, self._secondary_hashers):
+                acc ^= int(self.secondary[j])
+        return acc
+
+    def stats(self) -> list[str]:
+        return [
+            f"k: {self.k}",
+            f"blocks: {self.m0}",
+            f"segment_len: {self.segment_len}",
+            f"overflow_fraction: {self.overflow_fraction:.4f}",
+            f"secondary_len: {self.secondary_len}",
+        ]
 
 
 def build_blocked(
@@ -204,16 +226,8 @@ def build_blocked(
     )
 
 
-def query_blocked(d: BlockedRetrieval, key: bytes) -> int:
-    """XOR of k probes in the key's segment and 3 probes in the secondary."""
-    base = d.block_of(key) * d.segment_len
-    acc = 0
-    for j in distinct_k_set(key, d.k, d.segment_len, d._primary_hashers):
-        acc ^= int(d.primary[base + j])
-    if d.secondary_len:
-        for j in distinct_k_set(key, SECONDARY_K, d.secondary_len, d._secondary_hashers):
-            acc ^= int(d.secondary[j])
-    return acc
+query_blocked = BlockedRetrieval.query
+verify_blocked = BlockedRetrieval.verify
 
 
 def probe_plan(d: BlockedRetrieval, key: bytes) -> tuple[int, ...]:
@@ -241,7 +255,3 @@ def gather_query(d: BlockedRetrieval, key: bytes, table: np.ndarray | None = Non
     for off in probe_plan(d, key):
         acc ^= int(table[off])
     return acc
-
-
-def verify_blocked(d: BlockedRetrieval, pairs: Iterable[Pair]) -> bool:
-    return all(query_blocked(d, key) == value for key, value in pairs)

@@ -9,9 +9,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
-from . import basic, blocked, compact, filters, phf, serial, thresholds
+from . import filters, phf, serial, thresholds
 from .errors import (
     ContainerError,
     DuplicateKeys,
@@ -24,9 +25,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_RANDOMNESS = 3
-
-KINDS = ("basic", "compact", "blocked", "filter", "bloomier", "phf", "mphf")
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse defaults to exit code 2
@@ -73,29 +71,20 @@ def ingest(path: str, fmt: str, r: int) -> list[tuple[bytes, int]]:
 
 def _build_structure(args, pairs):
     params = filters.BackendParams(
-        kind="basic",
+        kind=args.backend,
         k=args.k,
         delta=args.delta,
         eps=args.eps,
         block_size=args.block_size,
         split_share=args.split_share,
     )
-    if args.kind == "basic":
-        return basic.build(
-            pairs, r=args.bits, k=args.k, delta=args.delta, seed=args.seed,
-            split_share=args.split_share,
-        )
-    if args.kind == "compact":
-        return compact.build_compact(pairs, r=args.bits, seed=args.seed)
-    if args.kind == "blocked":
-        return blocked.build_blocked(
-            pairs, r=args.bits, k=args.k, eps=args.eps, delta=args.delta,
-            b=args.block_size, seed=args.seed,
-        )
+    keys = [key for key, _ in pairs]
+    if args.kind in ("basic", "compact", "blocked"):
+        params = replace(params, kind=args.kind)
+        return filters.build_backend(pairs, r=args.bits, seed=args.seed, params=params)
     if args.kind == "filter":
         return filters.build_filter(
-            [key for key, _ in pairs], s=args.sig_bits,
-            backend_kind=args.backend, params=params, seed=args.seed,
+            keys, s=args.sig_bits, backend_kind=args.backend, params=params, seed=args.seed
         )
     if args.kind == "bloomier":
         return filters.build_bloomier(
@@ -103,106 +92,41 @@ def _build_structure(args, pairs):
             backend_kind=args.backend, params=params, seed=args.seed,
         )
     if args.kind == "phf":
-        return phf.build_phf(
-            [key for key, _ in pairs], k=args.k, delta=args.delta, seed=args.seed
-        )
+        return phf.build_phf(keys, k=args.k, delta=args.delta, seed=args.seed)
     if args.kind == "mphf":
-        return phf.build_mphf(
-            [key for key, _ in pairs], k=args.k, delta=args.delta, seed=args.seed
-        )
+        return phf.build_mphf(keys, k=args.k, delta=args.delta, seed=args.seed)
     raise ParseError(f"unknown kind {args.kind!r}")
 
 
 def _query_one(structure, key: bytes) -> str:
-    if isinstance(structure, filters.MembershipFilter):
-        return "yes" if filters.query_filter(structure, key) else "no"
-    if isinstance(structure, filters.BloomierFilter):
-        found, value = filters.query_bloomier(structure, key)
-        return f"yes {value}" if found else "no"
-    if isinstance(structure, phf.MinimalPerfectHash):
-        return str(phf.eval_mphf(structure, key))
-    if isinstance(structure, phf.PerfectHash):
-        return str(phf.eval_phf(structure, key))
-    if isinstance(structure, blocked.BlockedRetrieval):
-        return str(blocked.query_blocked(structure, key))
-    if isinstance(structure, compact.CompactRetrieval):
-        return str(compact.query_compact(structure, key))
-    return str(basic.query(structure, key))
-
-
-def _verify_structure(structure, pairs) -> bool:
-    if isinstance(structure, filters.MembershipFilter):
-        return all(filters.query_filter(structure, key) for key, _ in pairs)
-    if isinstance(structure, filters.BloomierFilter):
-        return all(
-            filters.query_bloomier(structure, key) == (True, value) for key, value in pairs
-        )
-    if isinstance(structure, phf.MinimalPerfectHash):
-        outs = [phf.eval_mphf(structure, key) for key, _ in pairs]
-        return sorted(outs) == list(range(len(outs)))
-    if isinstance(structure, phf.PerfectHash):
-        outs = [phf.eval_phf(structure, key) for key, _ in pairs]
-        return len(set(outs)) == len(outs) and all(0 <= o < structure.m for o in outs)
-    if isinstance(structure, blocked.BlockedRetrieval):
-        return blocked.verify_blocked(structure, pairs)
-    if isinstance(structure, compact.CompactRetrieval):
-        return all(compact.query_compact(structure, key) == v for key, v in pairs)
-    return basic.verify(structure, pairs)
+    """yes/no for a filter, "yes VALUE"/"no" for a Bloomier filter, else the number."""
+    match structure.query(key):
+        case bool(found):
+            return "yes" if found else "no"
+        case (True, value):
+            return f"yes {value}"
+        case (False, _):
+            return "no"
+        case answer:
+            return str(answer)
 
 
 def _stats_lines(structure) -> list[str]:
-    blob = serial.serialize(structure)
-    total_bits = len(blob) * 8
-    table_bits = getattr(structure, "table_bits", 0)
+    total_bits = len(serial.serialize(structure)) * 8
+    n, table_bits = structure.n, structure.table_bits
     lines = [
-        f"type: {type(structure).__name__}",
-        f"n: {getattr(structure, 'n', 0)}",
-        f"m: {getattr(structure, 'm', 0)}",
-        f"r: {getattr(structure, 'r', getattr(structure, 's', 0))}",
+        f"type: {structure.kind}",
+        f"n: {n}",
+        f"m: {structure.m}",
+        f"r: {structure.r}",
         f"table_bits: {table_bits}",
         f"header_bits: {total_bits - table_bits}",
         f"total_bits: {total_bits}",
     ]
-    n = getattr(structure, "n", 0)
     if n:
         lines.append(f"bits_per_key: {table_bits / n:.4f}")
         lines.append(f"total_bits_per_key: {total_bits / n:.4f}")
-    if isinstance(structure, basic.RetrievalStructure):
-        lines.append(f"k: {structure.k}")
-        lines.append(f"seed_generation: {structure.seed_generation}")
-    if isinstance(structure, basic.SplitShareRetrieval):
-        lines.append(f"k: {structure.k}")
-        lines.append("split_share: true")
-        lines.append(f"chunks: {structure.provider.num_chunks}")
-        lines.append(f"max_chunk: {structure.provider.max_chunk}")
-    if isinstance(structure, compact.CompactRetrieval):
-        lines.append(f"seed_index: {structure.seed_index}")
-        lines.append(f"probe_range: [{structure.binom.lo}, {structure.binom.hi}]")
-    if isinstance(structure, blocked.BlockedRetrieval):
-        lines.append(f"k: {structure.k}")
-        lines.append(f"blocks: {structure.m0}")
-        lines.append(f"segment_len: {structure.segment_len}")
-        lines.append(f"overflow_fraction: {structure.overflow_fraction:.4f}")
-        lines.append(f"secondary_len: {structure.secondary_len}")
-    if isinstance(structure, filters.MembershipFilter):
-        lines.append(f"sig_bits: {structure.s}")
-        lines.append(f"backend: {structure.backend_kind}")
-        lines.append(f"fp_rate: {2.0 ** -structure.s:.6g}")
-        if isinstance(structure.backend, basic.SplitShareRetrieval):
-            lines.append("split_share: true")
-            lines.append("fp_note: simulated hashing adds O(1/sqrt(n)) to the fp rate")
-    if isinstance(structure, filters.BloomierFilter):
-        lines.append(f"sig_bits: {structure.s}")
-        lines.append(f"payload_bits: {structure.r}")
-        lines.append(f"backend: {structure.backend_kind}")
-    if isinstance(structure, phf.PerfectHash):
-        lines.append(f"k: {structure.k}")
-        lines.append(f"lambda_bits_per_slot: {structure.r_lambda}")
-    if isinstance(structure, phf.MinimalPerfectHash):
-        lines.append(f"k: {structure.base.k}")
-        lines.append(f"lambda_bits_per_slot: {structure.base.r_lambda}")
-        lines.append(f"rank_index_bits: {structure.used.index_bits}")
-    return lines
+    return lines + structure.stats()
 
 
 def _read_structure(path: str):
@@ -234,9 +158,8 @@ def _cmd_query(args) -> int:
 
 def _cmd_verify(args) -> int:
     structure = _read_structure(args.structure)
-    r = getattr(structure, "r", 64)
-    pairs = ingest(args.input, args.format, r if r else 64)
-    if _verify_structure(structure, pairs):
+    pairs = ingest(args.input, args.format, structure.r or 64)
+    if structure.verify(pairs):
         print(f"verified {len(pairs)} keys")
         return EXIT_OK
     print("verification FAILED", file=sys.stderr)
@@ -313,7 +236,7 @@ def make_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="build a structure from key/value input")
-    b.add_argument("--kind", choices=KINDS, required=True)
+    b.add_argument("--kind", choices=serial.KINDS, required=True)
     b.add_argument("--input", required=True)
     b.add_argument("--format", choices=("csv", "tsv", "binary-lines"), default="csv")
     b.add_argument("--bits", type=int, default=8, help="value bits r")

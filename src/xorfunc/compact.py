@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .basic import Pair, RetrievalStructure, check_values, normalize_pairs
+from .basic import Pair, Retrieval, RetrievalStructure, check_values, normalize_pairs
 from .basic import build as build_basic
 from .errors import RandomnessExhausted
 from .gf2 import solve_xor_system
@@ -44,8 +44,10 @@ def default_trial_cap(n: int) -> int:
 
 
 @dataclass(eq=False)
-class CompactRetrieval:
+class CompactRetrieval(Retrieval):
     """n-entry table with per-key probe counts k(x) in [lo, hi]."""
+
+    kind = "compact"
 
     n: int
     r: int
@@ -74,6 +76,22 @@ class CompactRetrieval:
     @property
     def table_bits(self) -> int:
         return self.n * self.r
+
+    def query(self, key: bytes) -> int:
+        """Stored value on construction keys; 0 when the sampled weight is out of range."""
+        kx = self.probe_count(key)
+        if not self.binom.lo <= kx <= self.binom.hi:
+            return 0
+        acc = 0
+        for j in distinct_k_set(key, kx, self.n, self._probe_hashers):
+            acc ^= int(self.table[j])
+        return acc
+
+    def stats(self) -> list[str]:
+        return [
+            f"seed_index: {self.seed_index}",
+            f"probe_range: [{self.binom.lo}, {self.binom.hi}]",
+        ]
 
 
 def build_compact(
@@ -116,12 +134,4 @@ def build_compact(
     raise RandomnessExhausted(f"no regular square system within {cap} trials")
 
 
-def query_compact(d: CompactRetrieval, key: bytes) -> int:
-    """Stored value on construction keys; 0 when the sampled weight is out of range."""
-    kx = d.probe_count(key)
-    if not d.binom.lo <= kx <= d.binom.hi:
-        return 0
-    acc = 0
-    for j in distinct_k_set(key, kx, d.n, d._probe_hashers):
-        acc ^= int(d.table[j])
-    return acc
+query_compact = CompactRetrieval.query

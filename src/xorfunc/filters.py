@@ -10,7 +10,7 @@ variant concatenates an r-bit payload with the signature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from . import basic, blocked, compact
@@ -34,7 +34,8 @@ class BackendParams:
     retry_cap: int = 64
 
 
-def _build_backend(pairs, r: int, seed: int, params: BackendParams):
+def build_backend(pairs, r: int, seed: int, params: BackendParams):
+    """The retrieval structure ``params.kind`` names, built over ``pairs``."""
     if params.kind == "basic":
         return basic.build(
             pairs,
@@ -61,43 +62,37 @@ def _build_backend(pairs, r: int, seed: int, params: BackendParams):
     raise ValueError(f"unknown backend kind {params.kind!r}")
 
 
-def backend_query(backend, key: bytes) -> int:
-    if isinstance(backend, blocked.BlockedRetrieval):
-        return blocked.query_blocked(backend, key)
-    if isinstance(backend, compact.CompactRetrieval):
-        return compact.query_compact(backend, key)
-    return basic.query(backend, key)
-
-
-@dataclass(eq=False)
-class MembershipFilter:
-    """No false negatives; false positives at rate 2^-s."""
-
-    s: int
-    signature_seed: int
-    backend_kind: str
-    backend: object | None  # None only for s = 0
-
-    def signature(self, key: bytes) -> int:
-        if self.s == 0:
-            return 0
-        h = SeededHasher(self.signature_seed, fn_index(ROLE_SIGNATURE))
-        return h.u64(key) & ((1 << self.s) - 1)
-
-    @property
-    def table_bits(self) -> int:
-        return getattr(self.backend, "table_bits", 0)
-
-
 @dataclass(eq=False)
 class BloomierFilter:
-    """Members decode to their r-bit payload; non-members are mostly rejected."""
+    """Members decode to their r-bit payload; non-members are mostly rejected.
+
+    The backend stores ``payload << s | signature``.  With ``r = 0`` there is
+    no payload and this is a membership filter: no false negatives, false
+    positives at rate 2^-s, and ``query`` answers a bool instead of a
+    ``(found, payload)`` pair.
+    """
 
     r: int
     s: int
     signature_seed: int
     backend_kind: str
-    backend: object
+    backend: object | None  # None only for a membership filter with s = 0
+
+    @property
+    def kind(self) -> str:
+        return "bloomier" if self.r else "filter"
+
+    @property
+    def n(self) -> int:
+        return self.backend.n if self.backend is not None else 0
+
+    @property
+    def m(self) -> int:
+        return self.backend.m if self.backend is not None else 0
+
+    @property
+    def table_bits(self) -> int:
+        return self.backend.table_bits if self.backend is not None else 0
 
     def signature(self, key: bytes) -> int:
         if self.s == 0:
@@ -105,9 +100,37 @@ class BloomierFilter:
         h = SeededHasher(self.signature_seed, fn_index(ROLE_SIGNATURE))
         return h.u64(key) & ((1 << self.s) - 1)
 
-    @property
-    def table_bits(self) -> int:
-        return getattr(self.backend, "table_bits", 0)
+    def query(self, key: bytes) -> "bool | tuple[bool, int | None]":
+        if self.backend is None:  # s = 0 membership filter: every key is accepted
+            return True
+        word = self.backend.query(key)
+        found = (word & ((1 << self.s) - 1)) == self.signature(key)
+        if not self.r:
+            return found
+        return (True, word >> self.s) if found else (False, None)
+
+    def verify(self, pairs: Iterable[basic.Pair]) -> bool:
+        """Every key is accepted, and with a payload it decodes to its value."""
+        if not self.r:
+            return all(self.query(key) for key, _ in pairs)
+        return all(self.query(key) == (True, value) for key, value in pairs)
+
+    def stats(self) -> list[str]:
+        if self.r:
+            return [
+                f"sig_bits: {self.s}",
+                f"payload_bits: {self.r}",
+                f"backend: {self.backend_kind}",
+            ]
+        lines = [
+            f"sig_bits: {self.s}",
+            f"backend: {self.backend_kind}",
+            f"fp_rate: {2.0 ** -self.s:.6g}",
+        ]
+        if self.backend is not None and "split_share: true" in self.backend.stats():
+            lines.append("split_share: true")
+            lines.append("fp_note: simulated hashing adds O(1/sqrt(n)) to the fp rate")
+        return lines
 
 
 def build_filter(
@@ -117,36 +140,11 @@ def build_filter(
     params: BackendParams | None = None,
     seed: int = 0,
     signature_seed: int | None = None,
-) -> MembershipFilter:
-    """Store each key's s-bit signature in the chosen backend.
-
-    The signature seed is kept disjoint from the backend seed so backend
-    contents stay independent of any non-member's signature.
-    """
+) -> BloomierFilter:
+    """Store each key's s-bit signature in the chosen backend (a filter with r = 0)."""
     if not 0 <= s <= 64:
         raise ValueError("signature bits s must be in 0..64")
-    params = params or BackendParams(kind=backend_kind)
-    if params.kind != backend_kind:
-        params = BackendParams(**{**params.__dict__, "kind": backend_kind})
-    if signature_seed is None:
-        signature_seed = (seed ^ 0x5157_3143_9E37_79B9) & ((1 << 64) - 1)
-    if s == 0:
-        list(keys)  # consume for interface parity; nothing to store
-        return MembershipFilter(
-            s=0, signature_seed=signature_seed, backend_kind=backend_kind, backend=None
-        )
-    f = MembershipFilter(
-        s=s, signature_seed=signature_seed, backend_kind=backend_kind, backend=None
-    )
-    pairs = [(key, f.signature(key)) for key in keys]
-    f.backend = _build_backend(pairs, r=s, seed=seed, params=params)
-    return f
-
-
-def query_filter(f: MembershipFilter, key: bytes) -> bool:
-    if f.s == 0:
-        return True
-    return backend_query(f.backend, key) == f.signature(key)
+    return _build(((key, 0) for key in keys), 0, s, backend_kind, params, seed, signature_seed)
 
 
 def build_bloomier(
@@ -163,24 +161,35 @@ def build_bloomier(
         raise ValueError("payload bits r must be >= 1")
     if not 0 <= s <= 64 - r:
         raise ValueError("need r + s <= 64")
+    return _build(pairs, r, s, backend_kind, params, seed, signature_seed)
+
+
+def _build(
+    pairs: Iterable[basic.Pair],
+    r: int,
+    s: int,
+    backend_kind: str,
+    params: BackendParams | None,
+    seed: int,
+    signature_seed: int | None,
+) -> BloomierFilter:
+    """The signature seed is kept disjoint from the backend seed so backend
+    contents stay independent of any non-member's signature."""
     params = params or BackendParams(kind=backend_kind)
     if params.kind != backend_kind:
-        params = BackendParams(**{**params.__dict__, "kind": backend_kind})
+        params = replace(params, kind=backend_kind)
     if signature_seed is None:
         signature_seed = (seed ^ 0x5157_3143_9E37_79B9) & ((1 << 64) - 1)
     f = BloomierFilter(
         r=r, s=s, signature_seed=signature_seed, backend_kind=backend_kind, backend=None
     )
     stored = [(key, (value << s) | f.signature(key)) for key, value in pairs]
-    f.backend = _build_backend(stored, r=r + s, seed=seed, params=params)
+    if r + s:  # a membership filter with s = 0 stores nothing
+        f.backend = build_backend(stored, r=r + s, seed=seed, params=params)
     return f
 
 
-def query_bloomier(f: BloomierFilter, key: bytes) -> tuple[bool, int | None]:
-    word = backend_query(f.backend, key)
-    if f.s and (word & ((1 << f.s) - 1)) != f.signature(key):
-        return False, None
-    return True, word >> f.s
+query_filter = query_bloomier = BloomierFilter.query
 
 
 def membership_lower_bound(n: int, epsilon: float, u: int | None = None) -> float:

@@ -81,6 +81,9 @@ def hopcroft_karp(adj: Sequence[Sequence[int]], n_right: int) -> list[int]:
 class PerfectHash:
     """Selector table mapping each key to one of its k probe positions."""
 
+    kind = "phf"
+    r = 0  # a key's answer is a position, not a stored value
+
     n: int
     m: int
     k: int
@@ -103,9 +106,30 @@ class PerfectHash:
     def bits_per_key(self) -> float:
         return self.table_bits / self.n if self.n else 0.0
 
+    def query(self, key: bytes) -> int:
+        """Injective on construction keys; some position in [m] for any other key."""
+        probes = distinct_k_set(key, self.k, self.m, self._hashers)
+        selector = 0
+        for j in probes:
+            selector ^= int(self.lambda_table[j])
+        return probes[selector % self.k]
+
+    def verify(self, pairs: Iterable[tuple[bytes, int]]) -> bool:
+        """The keys map to distinct positions in [m]."""
+        outs = [self.query(key) for key, _ in pairs]
+        return len(set(outs)) == len(outs) and all(0 <= o < self.m for o in outs)
+
+    def stats(self) -> list[str]:
+        return [f"k: {self.k}", f"lambda_bits_per_slot: {self.r_lambda}"]
+
 
 @dataclass(eq=False)
 class MinimalPerfectHash:
+    """A perfect hash composed with rank over its image: a bijection onto [n]."""
+
+    kind = "mphf"
+    r = 0
+
     base: PerfectHash
     used: RankBitvector
 
@@ -114,12 +138,27 @@ class MinimalPerfectHash:
         return self.base.n
 
     @property
+    def m(self) -> int:
+        return self.base.m
+
+    @property
     def table_bits(self) -> int:
         return self.base.table_bits + len(self.used) + self.used.index_bits
 
     @property
     def bits_per_key(self) -> float:
         return self.table_bits / self.n if self.n else 0.0
+
+    def query(self, key: bytes) -> int:
+        return self.used.rank1(self.base.query(key))
+
+    def verify(self, pairs: Iterable[tuple[bytes, int]]) -> bool:
+        """The keys map onto exactly [0, number of keys)."""
+        outs = [self.query(key) for key, _ in pairs]
+        return sorted(outs) == list(range(len(outs)))
+
+    def stats(self) -> list[str]:
+        return [*self.base.stats(), f"rank_index_bits: {self.used.index_bits}"]
 
 
 def build_phf(
@@ -176,13 +215,7 @@ def build_phf(
     raise RandomnessExhausted(f"no full-rank system within {retry_cap} generations")
 
 
-def eval_phf(p: PerfectHash, key: bytes) -> int:
-    """Injective on construction keys; some position in [m] for any other key."""
-    probes = distinct_k_set(key, p.k, p.m, p._hashers)
-    selector = 0
-    for j in probes:
-        selector ^= int(p.lambda_table[j])
-    return probes[selector % p.k]
+eval_phf = PerfectHash.query
 
 
 def build_mphf(
@@ -199,5 +232,4 @@ def build_mphf(
     return MinimalPerfectHash(base=base, used=used)
 
 
-def eval_mphf(mp: MinimalPerfectHash, key: bytes) -> int:
-    return mp.used.rank1(eval_phf(mp.base, key))
+eval_mphf = MinimalPerfectHash.query

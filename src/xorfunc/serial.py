@@ -8,264 +8,377 @@ Layout (all little-endian):
     payload_len_bits u64 | payload (entries bit-packed LSB-first, contiguous)
     crc32 u32 over everything preceding
 
-Kinds: 1 basic retrieval, 2 compact, 3 blocked, 4 membership filter,
-5 Bloomier filter, 6 perfect hash, 7 minimal perfect hash.  Filters embed
-their backend's whole container in the kind-specific block.  Derived data
-(rank indexes, binomial tables, shared hash tables) is rebuilt on load.
+Kind codes are positions in ``KINDS`` plus one: 1 basic retrieval,
+2 compact, 3 blocked, 4 membership filter, 5 Bloomier filter, 6 perfect
+hash, 7 minimal perfect hash.  Filters embed their backend's whole container
+in the kind-specific block.  Derived data (rank indexes, binomial tables,
+shared hash tables) is rebuilt on load.
+
+Each kind has one encoder and one decoder.  A decoder checks every count it
+reads against the payload length and the kind-specific length before it
+allocates or hashes anything, so a malformed container ends as
+``ContainerError``.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
+from typing import NamedTuple
 
 import numpy as np
 
 from . import basic, blocked, compact, filters, phf
+from .basic import DEFAULT_RETRY_CAP, SPLIT_SHARE_T
 from .bitvector import RankBitvector
-from .errors import BadCrc, BadMagic, ContainerError, UnsupportedVersion
+from .errors import BadCrc, BadMagic, ContainerError, EmptySupport, UnsupportedVersion
 from .hashing import SplitShareTables, UniversalPair, build_binomial_table
 
 MAGIC = b"SDR1"
 VERSION = 1
 
-KIND_BASIC = 1
-KIND_COMPACT = 2
-KIND_BLOCKED = 3
-KIND_FILTER = 4
-KIND_BLOOMIER = 5
-KIND_PHF = 6
-KIND_MPHF = 7
-
 _BACKEND_CODES = {"none": 0, "basic": 1, "compact": 2, "blocked": 3}
 _BACKEND_NAMES = {v: k for k, v in _BACKEND_CODES.items()}
 
 _FIXED_HEADER = struct.Struct("<4sBBBBBQQQII")
+_MAX_GENERATION = 1 << 20  # generations the hash family can address (hashing.fn_index)
+
+
+class _Header(NamedTuple):
+    """Fixed-header fields a decoder reads."""
+
+    k: int
+    r: int
+    n: int
+    m: int
+    seed: int
+    generation: int
+
+
+def _entry_bits(entries: np.ndarray, r: int) -> np.ndarray:
+    """One uint8 per bit: each r-bit entry LSB-first, entries in order."""
+    shifts = np.arange(r, dtype=np.uint64)
+    planes = (entries.astype(np.uint64)[:, None] >> shifts[None, :]) & np.uint64(1)
+    return planes.astype(np.uint8).reshape(-1)
+
+
+def _entries(bits: np.ndarray, n: int, r: int) -> np.ndarray:
+    """Inverse of :func:`_entry_bits` over the first n*r bits."""
+    if n == 0 or r == 0:
+        return np.zeros(n, dtype=np.uint64)
+    planes = bits[: n * r].reshape(n, r).astype(np.uint64)
+    return np.bitwise_or.reduce(planes << np.arange(r, dtype=np.uint64)[None, :], axis=1)
 
 
 def pack_entries(entries: np.ndarray, r: int) -> bytes:
     """Bit-pack r-bit entries LSB-first with no per-entry padding."""
-    n = int(len(entries))
-    if n == 0 or r == 0:
-        return b""
-    shifts = np.arange(r, dtype=np.uint64)
-    bits = ((entries.astype(np.uint64)[:, None] >> shifts[None, :]) & np.uint64(1)).astype(
-        np.uint8
-    )
-    return np.packbits(bits.reshape(-1), bitorder="little").tobytes()
+    return np.packbits(_entry_bits(entries, r), bitorder="little").tobytes()
 
 
 def unpack_entries(buf: bytes, n: int, r: int) -> np.ndarray:
-    if n == 0 or r == 0:
-        return np.zeros(n, dtype=np.uint64)
-    raw = np.frombuffer(buf, dtype=np.uint8)
-    bits = np.unpackbits(raw, count=n * r, bitorder="little").reshape(n, r).astype(np.uint64)
-    shifts = np.arange(r, dtype=np.uint64)
-    return np.bitwise_or.reduce(bits << shifts[None, :], axis=1)
+    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), count=n * r, bitorder="little")
+    return _entries(bits, n, r)
 
 
-def _container(
-    kind: int,
-    k: int,
-    r: int,
-    n: int,
-    m: int,
-    master_seed: int,
-    seed_generation: int,
-    kind_specific: bytes,
-    payload: bytes,
-    payload_len_bits: int,
-) -> bytes:
+def _container(kind: str, h: _Header, kind_specific: bytes, payload_bits: np.ndarray) -> bytes:
+    code = KINDS.index(kind) + 1
+    seed = h.seed & ((1 << 64) - 1)
     head = _FIXED_HEADER.pack(
-        MAGIC,
-        VERSION,
-        kind,
-        k,
-        r,
-        0,
-        n,
-        m,
-        master_seed & ((1 << 64) - 1),
-        seed_generation,
-        len(kind_specific),
+        MAGIC, VERSION, code, h.k, h.r, 0, h.n, h.m, seed, h.generation, len(kind_specific)
     )
-    body = head + kind_specific + struct.pack("<Q", payload_len_bits) + payload
+    payload = np.packbits(payload_bits, bitorder="little").tobytes()
+    body = head + kind_specific + struct.pack("<Q", len(payload_bits)) + payload
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
+def _unpack(fmt: str, buf: bytes, offset: int = 0) -> tuple:
+    try:
+        return struct.unpack_from(fmt, buf, offset)
+    except struct.error as exc:
+        raise ContainerError(f"kind-specific block too short: {exc}") from exc
+
+
+def _require(condition: bool, what: str) -> None:
+    if not condition:
+        raise ContainerError(f"inconsistent container: {what}")
+
+
+def _check_table(h: _Header, bits: np.ndarray, entries: int) -> None:
+    """Entries of 1..64 bits, and exactly as many payload bits as they take."""
+    _require(1 <= h.r <= 64, f"entry width r={h.r}")
+    _require(len(bits) == entries * h.r, "payload length does not match the table size")
+
+
+def _check_probes(h: _Header) -> None:
+    """A build of n keys over m columns draws 2 <= k <= m distinct probes per key."""
+    _require(h.n <= h.m, f"n={h.n} keys over m={h.m} columns")
+    _require(h.k >= 2 and (h.n == 0 or h.k <= h.m), f"k={h.k} probes over m={h.m} columns")
+
+
+# -- basic retrieval (kind 1) -------------------------------------------------
+
+_SPLIT_HEAD = "<IIQII"
+_SPLIT_CHUNK = "<IIQQQQ"
+
+
+def _encode_basic(d: basic.RetrievalStructure) -> bytes:
+    ks = struct.pack("<dB", d.delta, 0)
+    h = _Header(d.k, d.r, d.n, d.m, d.master_seed, d.seed_generation)
+    return _container("basic", h, ks, _entry_bits(d.table, d.r))
+
+
+def _encode_split_share(d: basic.SplitShareRetrieval) -> bytes:
+    prov = d.provider
+    ks = struct.pack("<dB", d.delta, 1)
+    ks += struct.pack(
+        _SPLIT_HEAD, prov.num_chunks, prov.r_tab, prov.t, prov.splitter_generation, prov.max_chunk
+    )
+    for ci in range(prov.num_chunks):
+        seg_len = int(d.chunk_offsets[ci + 1] - d.chunk_offsets[ci])
+        pair = prov.pairs[ci]
+        a0, b0, a1, b1 = (pair.a0, pair.b0, pair.a1, pair.b1) if pair else (0, 0, 0, 0)
+        ks += struct.pack(_SPLIT_CHUNK, seg_len, d.chunk_generations[ci], a0, b0, a1, b1)
+    h = _Header(d.k, d.r, d.n, d.m, d.master_seed, d.seed_generation)
+    return _container("basic", h, ks, _entry_bits(d.table, d.r))
+
+
+def _decode_basic(h: _Header, ks: bytes, bits: np.ndarray):
+    delta, split_flag = _unpack("<dB", ks)
+    _require(split_flag in (0, 1), f"split-share flag {split_flag}")
+    _check_probes(h)
+    _check_table(h, bits, h.m)
+    if not split_flag:
+        _require(len(ks) == struct.calcsize("<dB"), "kind-specific length")
+        return basic.RetrievalStructure(
+            n=h.n, m=h.m, k=h.k, r=h.r, delta=delta, master_seed=h.seed,
+            seed_generation=h.generation, table=_entries(bits, h.m, h.r), pivots=None,
+        )
+    off = struct.calcsize("<dB")
+    num_chunks, r_tab, t, splitter_gen, max_chunk = _unpack(_SPLIT_HEAD, ks, off)
+    off += struct.calcsize(_SPLIT_HEAD)
+    chunk_size = struct.calcsize(_SPLIT_CHUNK)
+    _require(len(ks) == off + num_chunks * chunk_size, "kind-specific length")
+    # the builder derives these from n; checking them bounds the shared tables
+    _require(num_chunks == max(1, math.ceil(2 * h.n ** (2 / 3))), "chunk count")
+    _require(r_tab == max(2, math.ceil(2 * h.n ** (3 / 4))), "shared table size")
+    _require(t == SPLIT_SHARE_T and splitter_gen < _MAX_GENERATION, "splitter parameters")
+    seg_lens, gens, pairs = [], [], []
+    for _ in range(num_chunks):
+        seg_len, gen, a0, b0, a1, b1 = _unpack(_SPLIT_CHUNK, ks, off)
+        off += chunk_size
+        _require(seg_len == 0 or seg_len >= h.k, "segment shorter than k")
+        _require(gen < DEFAULT_RETRY_CAP, f"chunk generation {gen}")
+        seg_lens.append(seg_len)
+        gens.append(gen)
+        pairs.append(UniversalPair(a0, b0, a1, b1, r_tab) if a0 else None)
+    _require(sum(seg_lens) == h.m, "segment lengths do not add up to m")
+    _require(h.generation == max(gens, default=0), "seed generation")
+    provider = SplitShareTables(
+        master_seed=h.seed,
+        num_chunks=num_chunks,
+        r_tab=r_tab,
+        t=t,
+        splitter_generation=splitter_gen,
+        pairs=pairs,
+        tables=[],
+        max_chunk=max_chunk,
+    )
+    provider.ensure_tables(h.k * (max(gens, default=0) + 1))
+    offsets = np.concatenate(([0], np.cumsum(seg_lens))).astype(np.int64)
+    return basic.SplitShareRetrieval(
+        n=h.n, k=h.k, r=h.r, delta=delta, master_seed=h.seed, provider=provider,
+        chunk_generations=gens, chunk_offsets=offsets, table=_entries(bits, h.m, h.r),
+    )
+
+
+# -- compact retrieval (kind 2) -----------------------------------------------
+
+
+def _encode_compact(d: compact.CompactRetrieval) -> bytes:
+    ks = struct.pack("<IId", d.binom.lo, d.binom.hi, d.binom.p)
+    h = _Header(0, d.r, d.n, d.n, d.master_seed, d.seed_index)
+    return _container("compact", h, ks, _entry_bits(d.table, d.r))
+
+
+def _decode_compact(h: _Header, ks: bytes, bits: np.ndarray):
+    _require(len(ks) == struct.calcsize("<IId"), "kind-specific length")
+    lo, hi, p = _unpack("<IId", ks)
+    _require(h.m == h.n >= compact.SMALL_N_CUTOFF, f"square table of n={h.n}, m={h.m}")
+    _check_table(h, bits, h.n)
+    _require((lo, hi) == compact.weight_bounds(h.n)[:2] and 0.0 < p < 1.0, "weight range")
+    try:
+        binom = build_binomial_table(h.n, p, lo, hi)
+    except EmptySupport as exc:
+        raise ContainerError(f"inconsistent container: {exc}") from exc
+    return compact.CompactRetrieval(
+        n=h.n, r=h.r, master_seed=h.seed, seed_index=h.generation, binom=binom,
+        table=_entries(bits, h.n, h.r),
+    )
+
+
+# -- blocked retrieval (kind 3) -----------------------------------------------
+
+_BLOCKED = "<IIIQddQQI"
+
+
+def _encode_blocked(d: blocked.BlockedRetrieval) -> bytes:
+    ks = struct.pack(
+        _BLOCKED, d.b, d.b_prime, d.segment_len, d.m0, d.eps, d.delta, d.overflow_count,
+        d.secondary_len, d.secondary_generation,
+    )
+    entries = np.concatenate([d.primary, d.secondary])
+    h = _Header(d.k, d.r, d.n, d.m, d.master_seed, 0)
+    return _container("blocked", h, ks, _entry_bits(entries, d.r))
+
+
+def _decode_blocked(h: _Header, ks: bytes, bits: np.ndarray):
+    _require(len(ks) == struct.calcsize(_BLOCKED), "kind-specific length")
+    b, b_prime, seg_len, m0, eps, delta, n_prime, sec_len, sec_gen = _unpack(_BLOCKED, ks)
+    _require(m0 >= 1 and h.m == m0 * seg_len, f"m={h.m} over {m0} segments of {seg_len}")
+    _require(1 <= h.k <= seg_len, f"k={h.k} probes over a segment of {seg_len}")
+    _require(n_prime <= h.n, "more overflow keys than keys")
+    _require(sec_len == blocked.secondary_size(n_prime), "secondary length")
+    _require(sec_gen < _MAX_GENERATION, f"secondary generation {sec_gen}")
+    _check_table(h, bits, h.m + sec_len)
+    entries = _entries(bits, h.m + sec_len, h.r)
+    return blocked.BlockedRetrieval(
+        n=h.n, r=h.r, k=h.k, b=b, eps=eps, delta=delta, m0=m0, b_prime=b_prime,
+        segment_len=seg_len, master_seed=h.seed, secondary_generation=sec_gen,
+        overflow_count=n_prime, primary=entries[: h.m], secondary=entries[h.m :],
+    )
+
+
+# -- membership and Bloomier filters (kinds 4 and 5) --------------------------
+
+
+def _encode_filter(f: filters.BloomierFilter) -> bytes:
+    """Kind 4 stores s in the header's r; kind 5 stores r there and s in its block."""
+    if f.backend is None:
+        code, blob, seed = _BACKEND_CODES["none"], b"", 0
+    else:
+        code = _BACKEND_CODES[f.backend_kind]
+        blob, seed = serialize(f.backend), f.backend.master_seed
+    if f.r:
+        ks, r = struct.pack("<QBB", f.signature_seed, f.s, code), f.r
+    else:
+        ks, r = struct.pack("<QB", f.signature_seed, code), f.s
+    h = _Header(0, r, f.n, f.m, seed, 0)
+    return _container(f.kind, h, ks + blob, np.zeros(0, np.uint8))
+
+
+def _backend(code: int, blob: bytes, r: int):
+    """The embedded retrieval container, decoded; a filter never nests another."""
+    _require(code in _BACKEND_NAMES, f"backend code {code}")
+    if code == _BACKEND_CODES["none"]:
+        _require(not blob and r == 0, "an empty filter with a backend")
+        return None
+    _require(len(blob) > 5 and blob[5] in (1, 2, 3), "backend is not a retrieval kind")
+    backend = deserialize(blob)
+    _require(backend.r == r, "backend width differs from the filter's")
+    return backend
+
+
+def _decode_filter(h: _Header, ks: bytes, bits: np.ndarray):
+    sig_seed, code = _unpack("<QB", ks)
+    _require(h.r <= 64 and len(bits) == 0, "filter header")
+    backend = _backend(code, ks[struct.calcsize("<QB") :], h.r)
+    return filters.BloomierFilter(
+        r=0, s=h.r, signature_seed=sig_seed, backend_kind=_BACKEND_NAMES[code], backend=backend
+    )
+
+
+def _decode_bloomier(h: _Header, ks: bytes, bits: np.ndarray):
+    sig_seed, s, code = _unpack("<QBB", ks)
+    _require(1 <= h.r and h.r + s <= 64 and len(bits) == 0, "Bloomier header")
+    _require(code != _BACKEND_CODES["none"], "Bloomier filter without a backend")
+    backend = _backend(code, ks[struct.calcsize("<QBB") :], h.r + s)
+    return filters.BloomierFilter(
+        r=h.r, s=s, signature_seed=sig_seed, backend_kind=_BACKEND_NAMES[code], backend=backend
+    )
+
+
+# -- perfect hashes (kinds 6 and 7) -------------------------------------------
+
+
+def _phf_header(p: phf.PerfectHash) -> _Header:
+    return _Header(p.k, p.r_lambda, p.n, p.m, p.master_seed, p.seed_generation)
+
+
+def _encode_phf(p: phf.PerfectHash) -> bytes:
+    ks = struct.pack("<d", p.delta)
+    return _container("phf", _phf_header(p), ks, _entry_bits(p.lambda_table, p.r_lambda))
+
+
+def _encode_mphf(mp: phf.MinimalPerfectHash) -> bytes:
+    """The selector entries, then one bit per slot marking the image."""
+    p = mp.base
+    stream = np.concatenate([_entry_bits(p.lambda_table, p.r_lambda), mp.used.to_bits()])
+    return _container("mphf", _phf_header(p), struct.pack("<d", p.delta), stream)
+
+
+def _perfect_hash(h: _Header, ks: bytes, bits: np.ndarray, image_bits: int) -> phf.PerfectHash:
+    """The selector table of kinds 6 and 7; ``image_bits`` follow it in the payload."""
+    _require(len(ks) == struct.calcsize("<d"), "kind-specific length")
+    (delta,) = _unpack("<d", ks)
+    _check_probes(h)
+    _require(h.r == max(1, math.ceil(math.log2(h.k))), f"selector width {h.r} for k={h.k}")
+    _require(len(bits) == h.m * h.r + image_bits, "payload length does not match the table size")
+    return phf.PerfectHash(
+        n=h.n, m=h.m, k=h.k, r_lambda=h.r, delta=delta, master_seed=h.seed,
+        seed_generation=h.generation, lambda_table=_entries(bits, h.m, h.r), pivots=None,
+    )
+
+
+def _decode_phf(h: _Header, ks: bytes, bits: np.ndarray):
+    return _perfect_hash(h, ks, bits, 0)
+
+
+def _decode_mphf(h: _Header, ks: bytes, bits: np.ndarray):
+    base = _perfect_hash(h, ks, bits, h.m)
+    used = bits[h.m * h.r :]
+    _require(int(used.sum()) == h.n, "image size differs from n")
+    return phf.MinimalPerfectHash(base=base, used=RankBitvector(used))
+
+
+_ENCODERS = {
+    basic.RetrievalStructure: _encode_basic,
+    basic.SplitShareRetrieval: _encode_split_share,
+    compact.CompactRetrieval: _encode_compact,
+    blocked.BlockedRetrieval: _encode_blocked,
+    filters.BloomierFilter: _encode_filter,
+    phf.PerfectHash: _encode_phf,
+    phf.MinimalPerfectHash: _encode_mphf,
+}
+
+# in kind-code order; the CLI's --kind choices are the same names
+_DECODERS = {
+    "basic": _decode_basic,
+    "compact": _decode_compact,
+    "blocked": _decode_blocked,
+    "filter": _decode_filter,
+    "bloomier": _decode_bloomier,
+    "phf": _decode_phf,
+    "mphf": _decode_mphf,
+}
+KINDS = tuple(_DECODERS)
+
+
 def serialize(structure) -> bytes:
-    if isinstance(structure, basic.RetrievalStructure):
-        ks = struct.pack("<dB", structure.delta, 0)
-        payload = pack_entries(structure.table, structure.r)
-        return _container(
-            KIND_BASIC,
-            structure.k,
-            structure.r,
-            structure.n,
-            structure.m,
-            structure.master_seed,
-            structure.seed_generation,
-            ks,
-            payload,
-            structure.m * structure.r,
-        )
-    if isinstance(structure, basic.SplitShareRetrieval):
-        prov = structure.provider
-        ks = struct.pack("<dB", structure.delta, 1)
-        ks += struct.pack(
-            "<IIQII",
-            prov.num_chunks,
-            prov.r_tab,
-            prov.t,
-            prov.splitter_generation,
-            prov.max_chunk,
-        )
-        for ci in range(prov.num_chunks):
-            seg_len = int(structure.chunk_offsets[ci + 1] - structure.chunk_offsets[ci])
-            gen = structure.chunk_generations[ci]
-            pair = prov.pairs[ci]
-            a0, b0, a1, b1 = (pair.a0, pair.b0, pair.a1, pair.b1) if pair else (0, 0, 0, 0)
-            ks += struct.pack("<IIQQQQ", seg_len, gen, a0, b0, a1, b1)
-        payload = pack_entries(structure.table, structure.r)
-        return _container(
-            KIND_BASIC,
-            structure.k,
-            structure.r,
-            structure.n,
-            structure.m,
-            structure.master_seed,
-            structure.seed_generation,
-            ks,
-            payload,
-            structure.m * structure.r,
-        )
-    if isinstance(structure, compact.CompactRetrieval):
-        ks = struct.pack("<IId", structure.binom.lo, structure.binom.hi, structure.binom.p)
-        payload = pack_entries(structure.table, structure.r)
-        return _container(
-            KIND_COMPACT,
-            0,
-            structure.r,
-            structure.n,
-            structure.n,
-            structure.master_seed,
-            structure.seed_index,
-            ks,
-            payload,
-            structure.n * structure.r,
-        )
-    if isinstance(structure, blocked.BlockedRetrieval):
-        ks = struct.pack(
-            "<IIIQddQQI",
-            structure.b,
-            structure.b_prime,
-            structure.segment_len,
-            structure.m0,
-            structure.eps,
-            structure.delta,
-            structure.overflow_count,
-            structure.secondary_len,
-            structure.secondary_generation,
-        )
-        entries = (
-            np.concatenate([structure.primary, structure.secondary])
-            if structure.secondary_len
-            else structure.primary
-        )
-        payload = pack_entries(entries, structure.r)
-        return _container(
-            KIND_BLOCKED,
-            structure.k,
-            structure.r,
-            structure.n,
-            structure.m,
-            structure.master_seed,
-            0,
-            ks,
-            payload,
-            len(entries) * structure.r,
-        )
-    if isinstance(structure, filters.MembershipFilter):
-        backend_blob = b"" if structure.backend is None else serialize(structure.backend)
-        code = _BACKEND_CODES["none" if structure.backend is None else structure.backend_kind]
-        ks = struct.pack("<QB", structure.signature_seed, code) + backend_blob
-        n = getattr(structure.backend, "n", 0)
-        m = getattr(structure.backend, "m", 0)
-        seed = getattr(structure.backend, "master_seed", 0)
-        return _container(
-            KIND_FILTER, 0, structure.s, n, m, seed, 0, ks, b"", 0
-        )
-    if isinstance(structure, filters.BloomierFilter):
-        backend_blob = serialize(structure.backend)
-        code = _BACKEND_CODES[structure.backend_kind]
-        ks = struct.pack("<QBB", structure.signature_seed, structure.s, code) + backend_blob
-        return _container(
-            KIND_BLOOMIER,
-            0,
-            structure.r,
-            getattr(structure.backend, "n", 0),
-            getattr(structure.backend, "m", 0),
-            getattr(structure.backend, "master_seed", 0),
-            0,
-            ks,
-            b"",
-            0,
-        )
-    if isinstance(structure, phf.MinimalPerfectHash):
-        base = structure.base
-        ks = struct.pack("<d", base.delta)
-        payload_bits = base.m * base.r_lambda + base.m
-        shifts = np.arange(base.r_lambda, dtype=np.uint64)
-        lam_bits = (
-            (base.lambda_table.astype(np.uint64)[:, None] >> shifts[None, :]) & np.uint64(1)
-        ).astype(np.uint8)
-        stream = np.concatenate([lam_bits.reshape(-1), structure.used.to_bits()])
-        payload = np.packbits(stream, bitorder="little").tobytes()
-        return _container(
-            KIND_MPHF,
-            base.k,
-            base.r_lambda,
-            base.n,
-            base.m,
-            base.master_seed,
-            base.seed_generation,
-            ks,
-            payload,
-            payload_bits,
-        )
-    if isinstance(structure, phf.PerfectHash):
-        ks = struct.pack("<d", structure.delta)
-        payload = pack_entries(structure.lambda_table, structure.r_lambda)
-        return _container(
-            KIND_PHF,
-            structure.k,
-            structure.r_lambda,
-            structure.n,
-            structure.m,
-            structure.master_seed,
-            structure.seed_generation,
-            ks,
-            payload,
-            structure.m * structure.r_lambda,
-        )
-    raise TypeError(f"cannot serialize {type(structure).__name__}")
+    encode = _ENCODERS.get(type(structure))
+    if encode is None:
+        raise TypeError(f"cannot serialize {type(structure).__name__}")
+    return encode(structure)
 
 
-def _parse_header(data: bytes):
+def deserialize(data: bytes):
     if len(data) < 4 or data[:4] != MAGIC:
         raise BadMagic("missing SDR1 magic")
     if len(data) < _FIXED_HEADER.size:
         raise ContainerError("truncated header")
-    magic, version, kind, k, r, _reserved, n, m, seed, seed_gen, ks_len = _FIXED_HEADER.unpack(
-        data[: _FIXED_HEADER.size]
-    )
+    _, version, kind, k, r, _, n, m, seed, gen, ks_len = _FIXED_HEADER.unpack_from(data)
     if version != VERSION:
         raise UnsupportedVersion(f"version {version}")
-    return kind, k, r, n, m, seed, seed_gen, ks_len
-
-
-def deserialize(data: bytes):
-    kind, k, r, n, m, seed, seed_gen, ks_len = _parse_header(data)
     pos = _FIXED_HEADER.size
     if len(data) < pos + ks_len + 8 + 4:
         raise ContainerError("truncated container")
@@ -276,107 +389,12 @@ def deserialize(data: bytes):
     payload_bytes = (payload_bits + 7) // 8
     if len(data) != pos + payload_bytes + 4:
         raise ContainerError("container length mismatch")
-    payload = data[pos : pos + payload_bytes]
-    pos += payload_bytes
-    (crc_stored,) = struct.unpack_from("<I", data, pos)
+    (crc_stored,) = struct.unpack_from("<I", data, len(data) - 4)
     if crc_stored != (zlib.crc32(data[:-4]) & 0xFFFFFFFF):
         raise BadCrc("checksum mismatch")
-
-    if kind == KIND_BASIC:
-        delta, split_flag = struct.unpack_from("<dB", ks, 0)
-        if not split_flag:
-            table = unpack_entries(payload, m, r)
-            return basic.RetrievalStructure(
-                n=n, m=m, k=k, r=r, delta=delta, master_seed=seed,
-                seed_generation=seed_gen, table=table, pivots=None,
-            )
-        off = struct.calcsize("<dB")
-        num_chunks, r_tab, t, splitter_gen, max_chunk = struct.unpack_from("<IIQII", ks, off)
-        off += struct.calcsize("<IIQII")
-        seg_lens, gens, pairs = [], [], []
-        for _ in range(num_chunks):
-            seg_len, gen, a0, b0, a1, b1 = struct.unpack_from("<IIQQQQ", ks, off)
-            off += struct.calcsize("<IIQQQQ")
-            seg_lens.append(seg_len)
-            gens.append(gen)
-            pairs.append(UniversalPair(a0, b0, a1, b1, r_tab) if a0 else None)
-        provider = SplitShareTables(
-            master_seed=seed,
-            num_chunks=num_chunks,
-            r_tab=r_tab,
-            t=t,
-            splitter_generation=splitter_gen,
-            pairs=pairs,
-            tables=[],
-            max_chunk=max_chunk,
-        )
-        provider.ensure_tables(k * (max(gens, default=0) + 1))
-        offsets = np.concatenate(([0], np.cumsum(seg_lens))).astype(np.int64)
-        return basic.SplitShareRetrieval(
-            n=n, k=k, r=r, delta=delta, master_seed=seed, provider=provider,
-            chunk_generations=gens, chunk_offsets=offsets,
-            table=unpack_entries(payload, m, r),
-        )
-    if kind == KIND_COMPACT:
-        lo, hi, p = struct.unpack_from("<IId", ks, 0)
-        binom = build_binomial_table(n, p, lo, hi)
-        return compact.CompactRetrieval(
-            n=n, r=r, master_seed=seed, seed_index=seed_gen, binom=binom,
-            table=unpack_entries(payload, n, r),
-        )
-    if kind == KIND_BLOCKED:
-        b, b_prime, seg_len, m0, eps, delta, n_prime, sec_len, sec_gen = struct.unpack_from(
-            "<IIIQddQQI", ks, 0
-        )
-        entries = unpack_entries(payload, m + sec_len, r)
-        return blocked.BlockedRetrieval(
-            n=n, r=r, k=k, b=b, eps=eps, delta=delta, m0=m0, b_prime=b_prime,
-            segment_len=seg_len, master_seed=seed, secondary_generation=sec_gen,
-            overflow_count=n_prime,
-            primary=entries[:m],
-            secondary=entries[m:],
-        )
-    if kind == KIND_FILTER:
-        sig_seed, code = struct.unpack_from("<QB", ks, 0)
-        blob = ks[struct.calcsize("<QB") :]
-        backend = deserialize(blob) if code else None
-        return filters.MembershipFilter(
-            s=r, signature_seed=sig_seed, backend_kind=_BACKEND_NAMES[code], backend=backend
-        )
-    if kind == KIND_BLOOMIER:
-        sig_seed, s, code = struct.unpack_from("<QBB", ks, 0)
-        blob = ks[struct.calcsize("<QBB") :]
-        return filters.BloomierFilter(
-            r=r, s=s, signature_seed=sig_seed, backend_kind=_BACKEND_NAMES[code],
-            backend=deserialize(blob),
-        )
-    if kind == KIND_PHF:
-        (delta,) = struct.unpack_from("<d", ks, 0)
-        return phf.PerfectHash(
-            n=n, m=m, k=k, r_lambda=r, delta=delta, master_seed=seed,
-            seed_generation=seed_gen, lambda_table=unpack_entries(payload, m, r), pivots=None,
-        )
-    if kind == KIND_MPHF:
-        (delta,) = struct.unpack_from("<d", ks, 0)
-        stream = np.unpackbits(
-            np.frombuffer(payload, dtype=np.uint8), count=m * r + m, bitorder="little"
-        )
-        lam_bits = stream[: m * r].reshape(m, r).astype(np.uint64)
-        shifts = np.arange(r, dtype=np.uint64)
-        table = np.bitwise_or.reduce(lam_bits << shifts[None, :], axis=1) if m else np.zeros(
-            0, dtype=np.uint64
-        )
-        used_bits = stream[m * r :]
-        base = phf.PerfectHash(
-            n=n, m=m, k=k, r_lambda=r, delta=delta, master_seed=seed,
-            seed_generation=seed_gen, lambda_table=table, pivots=None,
-        )
-        return phf.MinimalPerfectHash(base=base, used=RankBitvector(used_bits))
-    raise ContainerError(f"unknown kind {kind}")
-
-
-def header_bits(structure) -> int:
-    """Serialized size minus the payload's own bits (the seed bookkeeping)."""
-    blob = serialize(structure)
-    payload_bits = getattr(structure, "table_bits", 0)
-    return len(blob) * 8 - payload_bits
+    if not 1 <= kind <= len(KINDS):
+        raise ContainerError(f"unknown kind {kind}")
+    _require(gen < _MAX_GENERATION, f"seed generation {gen}")
+    payload = np.frombuffer(data, dtype=np.uint8, count=payload_bytes, offset=pos)
+    bits = np.unpackbits(payload, count=payload_bits, bitorder="little")
+    return _DECODERS[KINDS[kind - 1]](_Header(k, r, n, m, seed, gen), ks, bits)

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import pytest
 
 from xorfunc.cli import EXIT_DATA, EXIT_OK, EXIT_RANDOMNESS, EXIT_USAGE, ingest, main
@@ -186,3 +189,160 @@ def test_split_share_flag(tmp_path):
     assert main(["build", "--kind", "basic", "--input", str(data), "--split-share",
                  "--out", str(out), "--seed", "4"]) == EXIT_OK
     assert main(["verify", "--structure", str(out), "--input", str(data)]) == EXIT_OK
+
+
+# `query` answers for PINNED_KEYS and `stats` lines per --kind/option combination,
+# built from pinned_csv at --seed 3 --block-size 16 (--delta 0.4 for phf and mphf).
+# Filters print their backend's n and m, and r is the payload width (0 for a
+# membership filter, a perfect hash and a minimal perfect hash).
+PINNED_KEYS = [b"key0", b"key7", b"key42", b"key299", b"absent", b"zz-none"]
+PINNED_CASES = {
+    "basic": [],
+    "compact": [],
+    "blocked": [],
+    "filter": [],
+    "bloomier": [],
+    "phf": [],
+    "mphf": [],
+    "basic-split-share": ["--split-share"],
+    "filter-compact": ["--backend", "compact"],
+    "filter-blocked": ["--backend", "blocked"],
+    "bloomier-blocked": ["--backend", "blocked"],
+    "filter-split-share": ["--split-share"],
+}
+PINNED_OUTPUT = {
+    "basic": (
+        ["0", "3", "18", "55", "70", "31"],
+        [
+            "type: basic", "n: 300", "m: 375", "r: 8", "table_bits: 3000", "header_bits: 496",
+            "total_bits: 3496", "bits_per_key: 10.0000", "total_bits_per_key: 11.6533", "k: 3",
+            "seed_generation: 0",
+        ],
+    ),
+    "compact": (
+        ["0", "3", "18", "55", "239", "217"],
+        [
+            "type: compact", "n: 300", "m: 300", "r: 8", "table_bits: 2400", "header_bits: 552",
+            "total_bits: 2952", "bits_per_key: 8.0000", "total_bits_per_key: 9.8400",
+            "seed_index: 0", "probe_range: [3, 22]",
+        ],
+    ),
+    "blocked": (
+        ["0", "3", "18", "55", "215", "58"],
+        [
+            "type: blocked", "n: 300", "m: 437", "r: 8", "table_bits: 4352", "header_bits: 872",
+            "total_bits: 5224", "bits_per_key: 14.5067", "total_bits_per_key: 17.4133", "k: 3",
+            "blocks: 19", "segment_len: 23", "overflow_fraction: 0.2733", "secondary_len: 107",
+        ],
+    ),
+    "filter": (
+        ["yes", "yes", "yes", "yes", "no", "no"],
+        [
+            "type: filter", "n: 300", "m: 375", "r: 0", "table_bits: 3000", "header_bits: 992",
+            "total_bits: 3992", "bits_per_key: 10.0000", "total_bits_per_key: 13.3067",
+            "sig_bits: 8", "backend: basic", "fp_rate: 0.00390625",
+        ],
+    ),
+    "bloomier": (
+        ["yes 0", "yes 3", "yes 18", "yes 55", "no", "no"],
+        [
+            "type: bloomier", "n: 300", "m: 375", "r: 8", "table_bits: 6000",
+            "header_bits: 1000", "total_bits: 7000", "bits_per_key: 20.0000",
+            "total_bits_per_key: 23.3333", "sig_bits: 8", "payload_bits: 8", "backend: basic",
+        ],
+    ),
+    "phf": (
+        ["206", "216", "246", "385", "83", "136"],
+        [
+            "type: phf", "n: 300", "m: 420", "r: 0", "table_bits: 840", "header_bits: 488",
+            "total_bits: 1328", "bits_per_key: 2.8000", "total_bits_per_key: 4.4267", "k: 3",
+            "lambda_bits_per_slot: 2",
+        ],
+    ),
+    "mphf": (
+        ["149", "157", "179", "277", "63", "100"],
+        [
+            "type: mphf", "n: 300", "m: 420", "r: 0", "table_bits: 1436", "header_bits: 316",
+            "total_bits: 1752", "bits_per_key: 4.7867", "total_bits_per_key: 5.8400", "k: 3",
+            "lambda_bits_per_slot: 2", "rank_index_bits: 176",
+        ],
+    ),
+    "basic-split-share": (
+        ["0", "3", "18", "55", "79", "6"],
+        [
+            "type: basic", "n: 300", "m: 468", "r: 8", "table_bits: 3744", "header_bits: 29488",
+            "total_bits: 33232", "bits_per_key: 12.4800", "total_bits_per_key: 110.7733",
+            "k: 3", "split_share: true", "chunks: 90", "max_chunk: 8",
+        ],
+    ),
+    "filter-compact": (
+        ["yes", "yes", "yes", "yes", "no", "no"],
+        [
+            "type: filter", "n: 300", "m: 300", "r: 0", "table_bits: 2400", "header_bits: 1048",
+            "total_bits: 3448", "bits_per_key: 8.0000", "total_bits_per_key: 11.4933",
+            "sig_bits: 8", "backend: compact", "fp_rate: 0.00390625",
+        ],
+    ),
+    "filter-blocked": (
+        ["yes", "yes", "yes", "yes", "no", "no"],
+        [
+            "type: filter", "n: 300", "m: 437", "r: 0", "table_bits: 4352", "header_bits: 1368",
+            "total_bits: 5720", "bits_per_key: 14.5067", "total_bits_per_key: 19.0667",
+            "sig_bits: 8", "backend: blocked", "fp_rate: 0.00390625",
+        ],
+    ),
+    "bloomier-blocked": (
+        ["yes 0", "yes 3", "yes 18", "yes 55", "no", "no"],
+        [
+            "type: bloomier", "n: 300", "m: 437", "r: 8", "table_bits: 8704",
+            "header_bits: 1376", "total_bits: 10080", "bits_per_key: 29.0133",
+            "total_bits_per_key: 33.6000", "sig_bits: 8", "payload_bits: 8", "backend: blocked",
+        ],
+    ),
+    "filter-split-share": (
+        ["yes", "yes", "yes", "yes", "no", "no"],
+        [
+            "type: filter", "n: 300", "m: 468", "r: 0", "table_bits: 3744",
+            "header_bits: 29984", "total_bits: 33728", "bits_per_key: 12.4800",
+            "total_bits_per_key: 112.4267", "sig_bits: 8", "backend: basic",
+            "fp_rate: 0.00390625", "split_share: true",
+            "fp_note: simulated hashing adds O(1/sqrt(n)) to the fp rate",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_CASES))
+def test_query_and_stats_output_per_kind(tmp_path, capsys, case):
+    data = tmp_path / "data.csv"
+    data.write_bytes(b"".join(b"key%d,%d\n" % (i, (i * 37) % 256) for i in range(300)))
+    keys = tmp_path / "keys.txt"
+    keys.write_bytes(b"\n".join(PINNED_KEYS) + b"\n")
+    kind = case.split("-")[0]
+    out = tmp_path / "s.sdr"
+    args = ["build", "--kind", kind, "--input", str(data), "--bits", "8", "--seed", "3",
+            "--block-size", "16", "--out", str(out), *PINNED_CASES[case]]
+    if kind in ("phf", "mphf"):
+        args += ["--delta", "0.4"]
+    assert main(args) == EXIT_OK
+    capsys.readouterr()
+    assert main(["query", "--structure", str(out), "--keys-file", str(keys)]) == EXIT_OK
+    answers = capsys.readouterr().out.splitlines()
+    assert main(["stats", "--structure", str(out)]) == EXIT_OK
+    stats = capsys.readouterr().out.splitlines()
+    assert (answers, stats) == PINNED_OUTPUT[case]
+    assert stats[0] == f"type: {kind}"
+    assert main(["verify", "--structure", str(out), "--input", str(data)]) == EXIT_OK
+    assert capsys.readouterr().out == "verified 300 keys\n"
+
+
+def test_inconsistent_container_is_data_error(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    out = tmp_path / "d.bin"
+    write_csv(data, 50)
+    main(["build", "--kind", "basic", "--input", str(data), "--out", str(out)])
+    body = bytearray(out.read_bytes()[:-4])
+    body[17:25] = struct.pack("<Q", 1 << 40)  # m: far more entries than the payload holds
+    out.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+    assert main(["query", "--structure", str(out), "--key", "key1"]) == EXIT_DATA
+    assert "error:" in capsys.readouterr().err

@@ -1,9 +1,13 @@
+import struct
 import warnings
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xorfunc import basic, blocked, compact, filters, phf, serial
-from xorfunc.errors import BadCrc, BadMagic, ContainerError, UnsupportedVersion
+from xorfunc.errors import BadCrc, BadMagic, ContainerError, UnsupportedVersion, XorFuncError
 
 
 def pairs_of(n, tag=b"k"):
@@ -122,3 +126,49 @@ def test_entry_bit_packing_is_lsb_first():
     assert entries.tolist() == [0b101, 0b011]
     # 3-bit entries: stream bits are e0[0..2] then e1[0..2] -> byte 0b011101 = 0x1D
     assert serial.pack_entries(__import__("numpy").array([0b101, 0b011], dtype="uint64"), 3) == b"\x1d"
+
+
+def fuzz_containers():
+    """One small container per kind, split-share and a blocked-backend Bloomier filter."""
+    pairs = pairs_of(40, tag=b"fz")
+    keys = [k for k, _ in pairs]
+    structures = [
+        basic.build(pairs, r=8, seed=1),
+        basic.build(pairs_of(200, tag=b"fs"), r=8, seed=2, split_share=True),
+        compact.build_compact(pairs, r=8, seed=3),
+        blocked.build_blocked(pairs, r=8, b=16, seed=4),
+        filters.build_filter(keys, s=8, seed=5),
+        filters.build_bloomier(
+            [(k, v % 16) for k, v in pairs], r=4, s=4, backend_kind="blocked",
+            params=filters.BackendParams(kind="blocked", block_size=16), seed=6,
+        ),
+        phf.build_phf(keys, k=3, delta=0.4, seed=7),
+        phf.build_mphf(keys, k=3, delta=0.4, seed=8),
+    ]
+    return [serial.serialize(s) for s in structures]
+
+
+FUZZ_BLOBS = fuzz_containers()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    blob=st.sampled_from(FUZZ_BLOBS),
+    edits=st.lists(
+        st.tuples(st.integers(0, 199), st.integers(0, 255)), min_size=1, max_size=3
+    ),
+)
+def test_mutated_container_loads_or_raises_container_error(blob, edits):
+    body = bytearray(blob[:-4])
+    for pos, value in edits:
+        body[pos % len(body)] = value
+    data = bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+    try:
+        structure = serial.deserialize(data)
+    except ContainerError:
+        return
+    for key in (b"fz1", b"not a key"):
+        try:
+            structure.query(key)
+        except XorFuncError:
+            pass
