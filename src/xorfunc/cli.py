@@ -13,13 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import filters, phf, serial, thresholds
-from .errors import (
-    ContainerError,
-    DuplicateKeys,
-    ParseError,
-    RandomnessExhausted,
-    XorFuncError,
-)
+from .errors import DuplicateKeys, ParseError, RandomnessExhausted, XorFuncError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,8 +40,6 @@ def ingest(path: str, fmt: str, r: int) -> list[tuple[bytes, int]]:
     data = Path(path).read_bytes()
     limit = 1 << r
     for lineno, line in enumerate(data.split(b"\n"), start=1):
-        if lineno > 1 and not line:
-            continue  # trailing blank lines
         if not line:
             continue
         if sep is None:
@@ -310,13 +302,10 @@ def main(argv: list[str] | None = None) -> int:
             print(message, file=sys.stderr)
             return code
         return EXIT_USAGE if exc.code else EXIT_OK
-    except (ParseError, DuplicateKeys, ContainerError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except RandomnessExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANDOMNESS
-    except XorFuncError as exc:
+    except XorFuncError as exc:  # parse, duplicate-key and container errors among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except FileNotFoundError as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,24 +54,11 @@ class BitMatrix:
         return cls(n_rows, n_cols, tuple(rows))
 
     @classmethod
-    def from_probe_sets(cls, sets: Sequence[Iterable[int]], n_cols: int) -> "BitMatrix":
-        rows = []
-        for s in sets:
-            r = 0
-            for j in s:
-                r |= 1 << j
-            rows.append(r)
-        return cls(len(rows), n_cols, tuple(rows))
-
-    @classmethod
     def identity(cls, n: int) -> "BitMatrix":
         return cls(n, n, tuple(1 << i for i in range(n)))
 
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
-
-    def to_lists(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.n_cols)] for r in self.rows]
 
 
 @dataclass(frozen=True)
@@ -123,10 +110,6 @@ def pack_rows(rows: Sequence[int], n_cols: int) -> np.ndarray:
     nbytes = w * 8
     buf = b"".join(r.to_bytes(nbytes, "little") for r in rows)
     return np.frombuffer(buf, dtype="<u8").reshape(n, w).astype(np.uint64)
-
-
-def unpack_rows(arr: np.ndarray) -> list[int]:
-    return [int.from_bytes(arr[i].tobytes(), "little") for i in range(arr.shape[0])]
 
 
 def pack_probe_rows(sets: Sequence[Sequence[int]], n_cols: int) -> np.ndarray:

@@ -237,10 +237,6 @@ class SplitShareTables:
                 pair.append([h.u64(struct.pack("<I", v)) % self.t for v in range(self.r_tab)])
             self.tables.append((pair[0], pair[1]))
 
-    @property
-    def num_functions(self) -> int:
-        return len(self.tables)
-
 
 def _draw_pair(seed: int, chunk: int, attempt: int, r_tab: int) -> UniversalPair:
     h = SeededHasher(seed, fn_index(ROLE_SHARE_PAIR, attempt, chunk))

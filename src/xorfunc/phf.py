@@ -1,11 +1,13 @@
 """Perfect hashing from full-rank probe systems.
 
-A full-rank build guarantees the probe sets admit an injective placement
-into the pivot columns (the pivot submatrix is regular), found here with
-Hopcroft-Karp.  Storing which of its k probes each key was matched to is
-itself a retrieval problem over ceil(log2 k)-bit values; evaluation reads
-that selector and returns the selected probe.  The minimal variant ranks
-the image set with a bitvector.
+Hopcroft-Karp matches every key to one of its own k probe columns, no two
+keys to the same column; any such perfect matching is an injective
+placement.  Storing which of its k probes each key was matched to is
+itself a retrieval problem over ceil(log2 k)-bit values, solved once; it
+succeeds exactly when the probe rows have full rank, and full rank implies
+that a perfect matching exists (a regular n x n submatrix has a nonzero
+permanent).  Evaluation reads the selector and returns the selected probe.
+The minimal variant ranks the image set with a bitvector.
 """
 
 from __future__ import annotations
@@ -20,27 +22,28 @@ import numpy as np
 from .basic import normalize_pairs, threshold_warning
 from .bitvector import RankBitvector
 from .errors import KTooLarge, RandomnessExhausted
-from .gf2 import solve_xor_system, system_full_rank
+from .gf2 import solve_xor_system
+from .gf2 import system_full_rank  # noqa: F401  perfbench/layertrace.py patches it here
 from .hashing import ROLE_PROBE, SeededHasher, distinct_k_set, probe_hashers
 
 _INF = -1
 
 
 def hopcroft_karp(adj: Sequence[Sequence[int]], n_right: int) -> list[int]:
-    """Maximum bipartite matching; returns the matched right vertex per left."""
+    """Maximum bipartite matching; returns the matched right vertex per left (-1 if none).
+
+    Each phase layers the left vertices by a breadth-first search from the
+    free ones, then grows augmenting paths depth-first on an explicit stack,
+    so a path may be as long as the graph without deep recursion.
+    """
     n_left = len(adj)
     match_l = [_INF] * n_left
     match_r = [_INF] * n_right
-    dist = [0] * n_left
-
-    def bfs() -> bool:
-        queue = deque()
-        for u in range(n_left):
-            if match_l[u] == _INF:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = _INF
+    while True:
+        dist = [_INF] * n_left
+        queue = deque(u for u in range(n_left) if match_l[u] == _INF)
+        for u in queue:
+            dist[u] = 0
         found = False
         while queue:
             u = queue.popleft()
@@ -51,30 +54,30 @@ def hopcroft_karp(adj: Sequence[Sequence[int]], n_right: int) -> list[int]:
                 elif dist[w] == _INF:
                     dist[w] = dist[u] + 1
                     queue.append(w)
-        return found
-
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = match_r[v]
-            if w == _INF or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = _INF
-        return False
-
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, n_left + 1000))
-    try:
-        while bfs():
-            for u in range(n_left):
-                if match_l[u] == _INF:
-                    dfs(u)
-    finally:
-        sys.setrecursionlimit(old_limit)
-    return match_l
+        if not found:
+            return match_l
+        tried = [0] * n_left  # edges of each left vertex already tried in this phase
+        for root in range(n_left):
+            if match_l[root] != _INF:
+                continue
+            path = [root]
+            while path:
+                u = path[-1]
+                if tried[u] == len(adj[u]):
+                    dist[u] = _INF  # no augmenting path through u in this phase
+                    path.pop()
+                    continue
+                v = adj[u][tried[u]]
+                tried[u] += 1
+                w = match_r[v]
+                if w == _INF:
+                    for x in path:  # each vertex on the path takes the edge it left by
+                        y = adj[x][tried[x] - 1]
+                        match_l[x] = y
+                        match_r[y] = x
+                    break
+                if dist[w] == dist[u] + 1:
+                    path.append(w)
 
 
 @dataclass(eq=False)
@@ -92,7 +95,7 @@ class PerfectHash:
     master_seed: int
     seed_generation: int
     lambda_table: np.ndarray
-    pivots: tuple[int, ...] | None = None
+    pivots: tuple[int, ...] | None = None  # the matched image, sorted; not serialized
     _hashers: list[SeededHasher] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -168,7 +171,11 @@ def build_phf(
     seed: int = 0,
     retry_cap: int = 64,
 ) -> PerfectHash:
-    """Injective map from the keys into [ceil((1+delta) n)]."""
+    """Injective map from the keys into [ceil((1+delta) n)].
+
+    A generation is kept when its keys match perfectly into their probe
+    columns and the selector system solves, i.e. when its rows have full rank.
+    """
     items = normalize_pairs((key, 0) for key in keys)
     ordered = [key for key, _ in items]
     n = len(ordered)
@@ -185,22 +192,13 @@ def build_phf(
     for gen in range(retry_cap):
         hashers = probe_hashers(seed, ROLE_PROBE, gen, k)
         probe_sets = [distinct_k_set(key, k, m, hashers) for key in ordered]
-        pivots = system_full_rank(probe_sets, m)
-        if pivots is None:
+        matched = hopcroft_karp(probe_sets, m)
+        if _INF in matched:
             continue
-        pivot_rank = {c: t for t, c in enumerate(sorted(pivots))}
-        adj = [[pivot_rank[c] for c in row if c in pivot_rank] for row in probe_sets]
-        match_l = hopcroft_karp(adj, n)
-        if any(v == _INF for v in match_l):  # regular pivot submatrix: cannot happen
-            raise AssertionError("pivot submatrix admitted no perfect matching")
-        sorted_pivots = sorted(pivots)
-        selectors = []
-        for i, row in enumerate(probe_sets):
-            col = sorted_pivots[match_l[i]]
-            selectors.append(row.index(col))
+        selectors = [row.index(col) for row, col in zip(probe_sets, matched)]
         solved = solve_xor_system(probe_sets, selectors, m)
         if solved is None:
-            raise AssertionError("selector solve diverged from the rank check")
+            continue
         return PerfectHash(
             n=n,
             m=m,
@@ -210,7 +208,7 @@ def build_phf(
             master_seed=seed,
             seed_generation=gen,
             lambda_table=solved[0],
-            pivots=tuple(sorted_pivots),
+            pivots=tuple(sorted(matched)),
         )
     raise RandomnessExhausted(f"no full-rank system within {retry_cap} generations")
 

@@ -38,9 +38,6 @@ from .hashing import SplitShareTables, UniversalPair, build_binomial_table
 MAGIC = b"SDR1"
 VERSION = 1
 
-_BACKEND_CODES = {"none": 0, "basic": 1, "compact": 2, "blocked": 3}
-_BACKEND_NAMES = {v: k for k, v in _BACKEND_CODES.items()}
-
 _FIXED_HEADER = struct.Struct("<4sBBBBBQQQII")
 _MAX_GENERATION = 1 << 20  # generations the hash family can address (hashing.fn_index)
 
@@ -253,11 +250,14 @@ def _decode_blocked(h: _Header, ks: bytes, bits: np.ndarray):
 
 
 def _encode_filter(f: filters.BloomierFilter) -> bytes:
-    """Kind 4 stores s in the header's r; kind 5 stores r there and s in its block."""
+    """Kind 4 stores s in the header's r; kind 5 stores r there and s in its block.
+
+    The backend code is the backend's kind code, or 0 for no backend.
+    """
     if f.backend is None:
-        code, blob, seed = _BACKEND_CODES["none"], b"", 0
+        code, blob, seed = 0, b"", 0
     else:
-        code = _BACKEND_CODES[f.backend_kind]
+        code = KINDS.index(f.backend_kind) + 1
         blob, seed = serialize(f.backend), f.backend.master_seed
     if f.r:
         ks, r = struct.pack("<QBB", f.signature_seed, f.s, code), f.r
@@ -267,34 +267,32 @@ def _encode_filter(f: filters.BloomierFilter) -> bytes:
     return _container(f.kind, h, ks + blob, np.zeros(0, np.uint8))
 
 
-def _backend(code: int, blob: bytes, r: int):
-    """The embedded retrieval container, decoded; a filter never nests another."""
-    _require(code in _BACKEND_NAMES, f"backend code {code}")
-    if code == _BACKEND_CODES["none"]:
+def _backend(code: int, blob: bytes, r: int) -> tuple[str, object | None]:
+    """Backend name and decoded backend of r-bit entries; never another filter."""
+    if code == 0:
         _require(not blob and r == 0, "an empty filter with a backend")
-        return None
-    _require(len(blob) > 5 and blob[5] in (1, 2, 3), "backend is not a retrieval kind")
+        return "none", None
+    _require(code <= 3 and len(blob) > 5 and blob[5] <= 3, "backend is not a retrieval kind")
     backend = deserialize(blob)
     _require(backend.r == r, "backend width differs from the filter's")
-    return backend
+    return KINDS[code - 1], backend
 
 
 def _decode_filter(h: _Header, ks: bytes, bits: np.ndarray):
     sig_seed, code = _unpack("<QB", ks)
     _require(h.r <= 64 and len(bits) == 0, "filter header")
-    backend = _backend(code, ks[struct.calcsize("<QB") :], h.r)
+    kind, backend = _backend(code, ks[struct.calcsize("<QB") :], h.r)
     return filters.BloomierFilter(
-        r=0, s=h.r, signature_seed=sig_seed, backend_kind=_BACKEND_NAMES[code], backend=backend
+        r=0, s=h.r, signature_seed=sig_seed, backend_kind=kind, backend=backend
     )
 
 
 def _decode_bloomier(h: _Header, ks: bytes, bits: np.ndarray):
     sig_seed, s, code = _unpack("<QBB", ks)
     _require(1 <= h.r and h.r + s <= 64 and len(bits) == 0, "Bloomier header")
-    _require(code != _BACKEND_CODES["none"], "Bloomier filter without a backend")
-    backend = _backend(code, ks[struct.calcsize("<QBB") :], h.r + s)
+    kind, backend = _backend(code, ks[struct.calcsize("<QBB") :], h.r + s)
     return filters.BloomierFilter(
-        r=h.r, s=s, signature_seed=sig_seed, backend_kind=_BACKEND_NAMES[code], backend=backend
+        r=h.r, s=s, signature_seed=sig_seed, backend_kind=kind, backend=backend
     )
 
 

@@ -252,7 +252,7 @@ PINNED_OUTPUT = {
         ],
     ),
     "phf": (
-        ["206", "216", "246", "385", "83", "136"],
+        ["206", "216", "246", "365", "74", "152"],
         [
             "type: phf", "n: 300", "m: 420", "r: 0", "table_bits: 840", "header_bits: 488",
             "total_bits: 1328", "bits_per_key: 2.8000", "total_bits_per_key: 4.4267", "k: 3",
@@ -260,7 +260,7 @@ PINNED_OUTPUT = {
         ],
     ),
     "mphf": (
-        ["149", "157", "179", "277", "63", "100"],
+        ["145", "155", "177", "260", "51", "108"],
         [
             "type: mphf", "n: 300", "m: 420", "r: 0", "table_bits: 1436", "header_bits: 316",
             "total_bits: 1752", "bits_per_key: 4.7867", "total_bits_per_key: 5.8400", "k: 3",

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import warnings
 
 import pytest
@@ -130,3 +131,16 @@ def test_rejects_bad_arguments():
         build_phf(keys_of(10), k=1)
     with pytest.raises(ValueError):
         build_phf(keys_of(10), k=3, delta=0.0)
+
+
+def test_hopcroft_karp_long_augmenting_path(monkeypatch):
+    # the first phase matches left i to right i+1, which leaves the last left
+    # vertex free; its one augmenting path then runs through all 20k vertices
+    n = 20_000
+    adj = [[i + 1, i] for i in range(n - 1)] + [[n - 1]]
+
+    def refuse(limit):
+        raise AssertionError("matching must not need a raised recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    assert hopcroft_karp(adj, n) == list(range(n))
