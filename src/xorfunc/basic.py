@@ -46,6 +46,8 @@ def normalize_pairs(pairs: Iterable[Pair]) -> list[Pair]:
 
 
 def check_values(values: Iterable[int], r: int) -> None:
+    if not 1 <= r <= 64:  # the widths a container can hold
+        raise ValueError(f"value width r={r} is not in 1..64")
     limit = 1 << r
     for v in values:
         if not 0 <= v < limit:

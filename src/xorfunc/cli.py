@@ -131,7 +131,10 @@ def _read_structure(path: str):
 
 def _cmd_build(args) -> int:
     pairs = ingest(args.input, args.format, args.bits)
-    structure = _build_structure(args, pairs)
+    try:
+        structure = _build_structure(args, pairs)
+    except ValueError as exc:  # a parameter the builder rejects, such as --k 1 or --bits 0
+        raise SystemExit((EXIT_USAGE, f"xorfunc build: error: {exc}")) from exc
     Path(args.out).write_bytes(serial.serialize(structure))
     print(f"built kind={args.kind} n={len(pairs)} -> {args.out}")
     return EXIT_OK

@@ -40,10 +40,8 @@ def hopcroft_karp(adj: Sequence[Sequence[int]], n_right: int) -> list[int]:
     match_l = [_INF] * n_left
     match_r = [_INF] * n_right
     while True:
-        dist = [_INF] * n_left
-        queue = deque(u for u in range(n_left) if match_l[u] == _INF)
-        for u in queue:
-            dist[u] = 0
+        dist = [0 if v == _INF else _INF for v in match_l]
+        queue = deque(u for u in range(n_left) if dist[u] == 0)
         found = False
         while queue:
             u = queue.popleft()

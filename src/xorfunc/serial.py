@@ -280,7 +280,7 @@ def _backend(code: int, blob: bytes, r: int) -> tuple[str, object | None]:
 
 def _decode_filter(h: _Header, ks: bytes, bits: np.ndarray):
     sig_seed, code = _unpack("<QB", ks)
-    _require(h.r <= 64 and len(bits) == 0, "filter header")
+    _require(len(bits) == 0, "filter with a payload")
     kind, backend = _backend(code, ks[struct.calcsize("<QB") :], h.r)
     return filters.BloomierFilter(
         r=0, s=h.r, signature_seed=sig_seed, backend_kind=kind, backend=backend
@@ -289,7 +289,7 @@ def _decode_filter(h: _Header, ks: bytes, bits: np.ndarray):
 
 def _decode_bloomier(h: _Header, ks: bytes, bits: np.ndarray):
     sig_seed, s, code = _unpack("<QBB", ks)
-    _require(1 <= h.r and h.r + s <= 64 and len(bits) == 0, "Bloomier header")
+    _require(h.r >= 1 and len(bits) == 0, "Bloomier header")
     kind, backend = _backend(code, ks[struct.calcsize("<QBB") :], h.r + s)
     return filters.BloomierFilter(
         r=h.r, s=s, signature_seed=sig_seed, backend_kind=kind, backend=backend

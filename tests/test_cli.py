@@ -346,3 +346,12 @@ def test_inconsistent_container_is_data_error(tmp_path, capsys):
     out.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
     assert main(["query", "--structure", str(out), "--key", "key1"]) == EXIT_DATA
     assert "error:" in capsys.readouterr().err
+
+
+def test_rejected_build_parameter_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    write_csv(data, 20, r=0)  # every value 0, so --bits 0 passes ingest
+    for extra in (["--k", "1"], ["--bits", "0"], ["--kind", "blocked", "--block-size", "4"]):
+        args = ["build", "--kind", "basic", "--input", str(data), "--out", str(tmp_path / "x.bin")]
+        assert main(args + extra) == EXIT_USAGE, extra
+        assert "error:" in capsys.readouterr().err
