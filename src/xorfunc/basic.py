@@ -93,9 +93,11 @@ class RetrievalStructure(Retrieval):
     table: np.ndarray
     pivots: tuple[int, ...] | None = None
     _hashers: list[SeededHasher] = field(init=False, repr=False)
+    _entries: memoryview = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._hashers = probe_hashers(self.master_seed, ROLE_PROBE, self.seed_generation, self.k)
+        self._entries = memoryview(self.table)  # reads ints; edits of table show through
 
     def probes(self, key: bytes) -> tuple[int, ...]:
         return distinct_k_set(key, self.k, self.m, self._hashers)
@@ -108,9 +110,10 @@ class RetrievalStructure(Retrieval):
         """Stored value for construction keys; some r-bit value for any other key."""
         if self.m == 0 or self.k > self.m:
             return 0
+        entries = self._entries
         acc = 0
-        for j in self.probes(key):
-            acc ^= int(self.table[j])
+        for j in distinct_k_set(key, self.k, self.m, self._hashers):
+            acc ^= entries[j]
         return acc
 
     def stats(self) -> list[str]:
@@ -128,9 +131,11 @@ class CompressedRetrieval(Retrieval):
     master_seed: int
     seed_generation: int
     _hashers: list[SeededHasher] = field(init=False, repr=False)
+    _entries: memoryview = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._hashers = probe_hashers(self.master_seed, ROLE_PROBE, self.seed_generation, self.k)
+        self._entries = memoryview(self.base)
 
     @property
     def m(self) -> int:
@@ -140,10 +145,11 @@ class CompressedRetrieval(Retrieval):
         """Same answer as the uncompressed structure; non-pivot probes contribute 0."""
         if self.m == 0 or self.k > self.m:
             return 0
+        membership, entries = self.membership, self._entries
         acc = 0
         for j in distinct_k_set(key, self.k, self.m, self._hashers):
-            if self.membership.get(j):
-                acc ^= int(self.base[self.membership.rank1(j)])
+            if membership.get(j):
+                acc ^= entries[membership.rank1(j)]
         return acc
 
 
@@ -162,6 +168,17 @@ class SplitShareRetrieval(Retrieval):
     chunk_generations: list[int]
     chunk_offsets: np.ndarray  # prefix offsets, len num_chunks + 1
     table: np.ndarray
+    _hashers: list[list[ChunkHasher]] = field(init=False, repr=False)
+    _offsets: memoryview = field(init=False, repr=False)
+    _entries: memoryview = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._hashers = [
+            [ChunkHasher(self.provider, ci, gen * self.k + l + 1) for l in range(self.k)]
+            for ci, gen in enumerate(self.chunk_generations)
+        ]
+        self._offsets = memoryview(self.chunk_offsets)
+        self._entries = memoryview(self.table)
 
     @property
     def m(self) -> int:
@@ -175,20 +192,17 @@ class SplitShareRetrieval(Retrieval):
     def table_bits(self) -> int:
         return self.m * self.r
 
-    def _chunk_hashers(self, chunk: int) -> list[ChunkHasher]:
-        gen = self.chunk_generations[chunk]
-        return [ChunkHasher(self.provider, chunk, gen * self.k + l + 1) for l in range(self.k)]
-
     def query(self, key: bytes) -> int:
         """XOR of k probes in the segment of the key's chunk."""
         ci = self.provider.chunk_of(key)
-        start = int(self.chunk_offsets[ci])
-        seg_len = int(self.chunk_offsets[ci + 1]) - start
+        start = self._offsets[ci]
+        seg_len = self._offsets[ci + 1] - start
         if seg_len == 0:
             return 0
+        entries = self._entries
         acc = 0
-        for j in distinct_k_set(key, self.k, seg_len, self._chunk_hashers(ci)):
-            acc ^= int(self.table[start + j])
+        for j in distinct_k_set(key, self.k, seg_len, self._hashers[ci]):
+            acc ^= entries[start + j]
         return acc
 
     def stats(self) -> list[str]:

@@ -37,6 +37,10 @@ class RankBitvector:
         self.super_counts = np.concatenate(([0], np.cumsum(per_super)[:-1])).astype(np.uint64)
         self.word_rel = within.reshape(-1)[:n_words].astype(np.uint16)
         self.total = int(counts.sum())
+        # views read Python ints, where indexing the arrays makes numpy scalars
+        self._words = memoryview(self.words)
+        self._super_counts = memoryview(self.super_counts)
+        self._word_rel = memoryview(self.word_rel)
 
     @classmethod
     def from_indices(cls, length: int, ones: Iterable[int]) -> "RankBitvector":
@@ -52,7 +56,7 @@ class RankBitvector:
     def get(self, i: int) -> int:
         if not 0 <= i < self.length:
             raise IndexOutOfRange(f"bit {i} out of [0, {self.length})")
-        return int(self.words[i >> 6] >> np.uint64(i & 63)) & 1
+        return (self._words[i >> 6] >> (i & 63)) & 1
 
     def rank1(self, i: int) -> int:
         """Number of set bits in positions [0, i)."""
@@ -63,13 +67,12 @@ class RankBitvector:
         if i == self.length and self.length % 64 == 0:
             return self.total
         w = i >> 6
-        if w == len(self.words):
+        if w == len(self._words):
             return self.total
-        r = int(self.super_counts[w >> 6]) + int(self.word_rel[w])
+        r = self._super_counts[w >> 6] + self._word_rel[w]
         rem = i & 63
         if rem:
-            mask = np.uint64((1 << rem) - 1)
-            r += int(self.words[w] & mask).bit_count()
+            r += (self._words[w] & ((1 << rem) - 1)).bit_count()
         return r
 
     @property

@@ -66,6 +66,8 @@ class BlockedRetrieval(Retrieval):
     _splitter: SeededHasher = field(init=False, repr=False)
     _primary_hashers: list[SeededHasher] = field(init=False, repr=False)
     _secondary_hashers: list[SeededHasher] = field(init=False, repr=False)
+    _primary_entries: memoryview = field(init=False, repr=False)
+    _secondary_entries: memoryview = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._splitter = SeededHasher(self.master_seed, fn_index(ROLE_SPLIT))
@@ -73,6 +75,8 @@ class BlockedRetrieval(Retrieval):
         self._secondary_hashers = probe_hashers(
             self.master_seed, ROLE_SECONDARY, self.secondary_generation, SECONDARY_K
         )
+        self._primary_entries = memoryview(self.primary)
+        self._secondary_entries = memoryview(self.secondary)
 
     @property
     def m(self) -> int:
@@ -96,12 +100,13 @@ class BlockedRetrieval(Retrieval):
     def query(self, key: bytes) -> int:
         """XOR of k probes in the key's segment and 3 probes in the secondary."""
         base = self.block_of(key) * self.segment_len
+        primary, secondary = self._primary_entries, self._secondary_entries
         acc = 0
         for j in distinct_k_set(key, self.k, self.segment_len, self._primary_hashers):
-            acc ^= int(self.primary[base + j])
-        if self.secondary_len:
-            for j in distinct_k_set(key, SECONDARY_K, self.secondary_len, self._secondary_hashers):
-                acc ^= int(self.secondary[j])
+            acc ^= primary[base + j]
+        if len(secondary):
+            for j in distinct_k_set(key, SECONDARY_K, len(secondary), self._secondary_hashers):
+                acc ^= secondary[j]
         return acc
 
     def stats(self) -> list[str]:
@@ -189,13 +194,14 @@ def build_blocked(
                 f"secondary structure failed {retry_cap} generations (n'={n_prime})"
             )
     sec_hashers = probe_hashers(seed, ROLE_SECONDARY, sec_gen, SECONDARY_K)
+    sec_entries = memoryview(secondary)
 
     def f_prime(key: bytes) -> int:
         if not n_prime:
             return 0
         acc = 0
         for j in distinct_k_set(key, SECONDARY_K, sec_len, sec_hashers):
-            acc ^= int(secondary[j])
+            acc ^= sec_entries[j]
         return acc
 
     primary = np.zeros(m0 * segment_len, dtype=np.uint64)

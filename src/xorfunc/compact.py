@@ -57,6 +57,7 @@ class CompactRetrieval(Retrieval):
     table: np.ndarray
     _weight_hasher: SeededHasher = field(init=False, repr=False)
     _probe_hashers: list[SeededHasher] = field(init=False, repr=False)
+    _entries: memoryview = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._weight_hasher = SeededHasher(
@@ -65,6 +66,7 @@ class CompactRetrieval(Retrieval):
         self._probe_hashers = probe_hashers(
             self.master_seed, ROLE_PROBE, self.seed_index, self.binom.hi
         )
+        self._entries = memoryview(self.table)
 
     @property
     def m(self) -> int:
@@ -82,9 +84,10 @@ class CompactRetrieval(Retrieval):
         kx = self.probe_count(key)
         if not self.binom.lo <= kx <= self.binom.hi:
             return 0
+        entries = self._entries
         acc = 0
         for j in distinct_k_set(key, kx, self.n, self._probe_hashers):
-            acc ^= int(self.table[j])
+            acc ^= entries[j]
         return acc
 
     def stats(self) -> list[str]:

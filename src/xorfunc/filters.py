@@ -10,7 +10,7 @@ variant concatenates an r-bit payload with the signature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from . import basic, blocked, compact
@@ -77,6 +77,10 @@ class BloomierFilter:
     signature_seed: int
     backend_kind: str
     backend: object | None  # None only for a membership filter with s = 0
+    _signer: SeededHasher = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._signer = SeededHasher(self.signature_seed, fn_index(ROLE_SIGNATURE))
 
     @property
     def kind(self) -> str:
@@ -97,8 +101,7 @@ class BloomierFilter:
     def signature(self, key: bytes) -> int:
         if self.s == 0:
             return 0
-        h = SeededHasher(self.signature_seed, fn_index(ROLE_SIGNATURE))
-        return h.u64(key) & ((1 << self.s) - 1)
+        return self._signer.u64(key) & ((1 << self.s) - 1)
 
     def query(self, key: bytes) -> "bool | tuple[bool, int | None]":
         if self.backend is None:  # s = 0 membership filter: every key is accepted

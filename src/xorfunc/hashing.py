@@ -14,6 +14,7 @@ import math
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import EmptySupport, IndexOutOfRange, KTooLarge, RandomnessExhausted, ZeroRange
 
 MASK64 = (1 << 64) - 1
+_from_bytes = int.from_bytes  # bound once: u64 runs once per probe
 _PRIME61 = (1 << 61) - 1
 _FIXED_ONE = 1 << 64
 
@@ -48,16 +50,17 @@ class SeededHasher:
 
     master_seed: int
     function_index: int
-    _key: bytes = field(init=False, repr=False, compare=False)
+    _prf: "hashlib.blake2b" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         key = struct.pack("<QQ", self.master_seed & MASK64, self.function_index & MASK64)
-        object.__setattr__(self, "_key", key)
+        # keying blake2b costs more than copying a keyed one, so each call copies this
+        object.__setattr__(self, "_prf", hashlib.blake2b(digest_size=8, key=key))
 
     def u64(self, key: bytes) -> int:
-        return int.from_bytes(
-            hashlib.blake2b(key, digest_size=8, key=self._key).digest(), "little"
-        )
+        h = self._prf.copy()
+        h.update(key)
+        return _from_bytes(h.digest(), "little")
 
     def hash_to_range(self, key: bytes, range_: int) -> int:
         if range_ < 1:
@@ -111,18 +114,20 @@ class ConditionedBinomialTable:
     tail_lo: float
     tail_hi: float
 
-    def midpoints(self) -> list[int]:
+    @cached_property
+    def midpoints(self) -> tuple[int, ...]:
+        """Sampling thresholds, computed once per table."""
         prev = 0
         mids = []
         for v in self.cdf:
             mids.append((prev + v) // 2)
             prev = v
-        return mids
+        return tuple(mids)
 
     def sample_probabilities(self) -> list[float]:
         """Cell probabilities the midpoint sampler actually realizes."""
-        mids = self.midpoints()
-        bounds = [0] + mids[1:] + [_FIXED_ONE]
+        mids = self.midpoints
+        bounds = [0, *mids[1:], _FIXED_ONE]
         return [(bounds[t + 1] - bounds[t]) / _FIXED_ONE for t in range(len(mids))]
 
 
@@ -169,7 +174,7 @@ def sample_conditioned(tbl: ConditionedBinomialTable, key: bytes, h: SeededHashe
     """Midpoint-rule draw from the table: the largest cell whose midpoint
     threshold is <= the key's 64-bit hash fraction, clamped to lo."""
     g = h.u64(key)
-    idx = bisect_right(tbl.midpoints(), g) - 1
+    idx = bisect_right(tbl.midpoints, g) - 1
     if idx < 0:
         idx = 0
     return tbl.lo + idx
@@ -218,13 +223,34 @@ class SplitShareTables:
     pairs: list[UniversalPair | None]
     tables: list[tuple[list[int], list[int]]]
     max_chunk: int
+    # hashers and empty chunks' fallback pairs, made once and not serialized
+    _splitter: SeededHasher = field(init=False, repr=False, compare=False)
+    _base: SeededHasher = field(init=False, repr=False, compare=False)
+    _spare_pairs: dict[int, UniversalPair] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+
+    def __post_init__(self) -> None:
+        self._splitter = SeededHasher(
+            self.master_seed, fn_index(ROLE_SPLIT, self.splitter_generation)
+        )
+        self._base = SeededHasher(self.master_seed, fn_index(ROLE_SHARE_BASE))
 
     def chunk_of(self, key: bytes) -> int:
-        h = SeededHasher(self.master_seed, fn_index(ROLE_SPLIT, self.splitter_generation))
-        return h.hash_to_range(key, self.num_chunks)
+        return self._splitter.hash_to_range(key, self.num_chunks)
 
     def digest(self, key: bytes) -> int:
-        return SeededHasher(self.master_seed, fn_index(ROLE_SHARE_BASE)).u64(key)
+        return self._base.u64(key)
+
+    def _pair(self, chunk: int) -> UniversalPair:
+        """The chunk's accepted pair; an empty chunk has none and uses attempt 0's."""
+        pair = self.pairs[chunk]
+        if pair is None:
+            pair = self._spare_pairs.get(chunk)
+            if pair is None:
+                pair = _draw_pair(self.master_seed, chunk, 0, self.r_tab)
+                self._spare_pairs[chunk] = pair
+        return pair
 
     def ensure_tables(self, j: int) -> None:
         """Materialize shared table pairs up to index j (1-based); entries are
@@ -336,10 +362,7 @@ def split_share_eval(tables: SplitShareTables, chunk: int, j: int, key: bytes) -
         raise IndexOutOfRange(f"chunk {chunk} out of [0, {tables.num_chunks})")
     if not 1 <= j <= len(tables.tables):
         raise IndexOutOfRange(f"function index {j} out of [1, {len(tables.tables)}]")
-    pair = tables.pairs[chunk]
-    if pair is None:
-        pair = _draw_pair(tables.master_seed, chunk, 0, tables.r_tab)
-    v0, v1 = pair.values(tables.digest(key))
+    v0, v1 = tables._pair(chunk).values(tables.digest(key))
     t0, t1 = tables.tables[j - 1]
     return shared_pair_value(t0, t1, v0, v1, tables.t)
 

@@ -95,9 +95,11 @@ class PerfectHash:
     lambda_table: np.ndarray
     pivots: tuple[int, ...] | None = None  # the matched image, sorted; not serialized
     _hashers: list[SeededHasher] = field(init=False, repr=False)
+    _selectors: memoryview = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._hashers = probe_hashers(self.master_seed, ROLE_PROBE, self.seed_generation, self.k)
+        self._selectors = memoryview(self.lambda_table)
 
     @property
     def table_bits(self) -> int:
@@ -110,9 +112,10 @@ class PerfectHash:
     def query(self, key: bytes) -> int:
         """Injective on construction keys; some position in [m] for any other key."""
         probes = distinct_k_set(key, self.k, self.m, self._hashers)
+        selectors = self._selectors
         selector = 0
         for j in probes:
-            selector ^= int(self.lambda_table[j])
+            selector ^= selectors[j]
         return probes[selector % self.k]
 
     def verify(self, pairs: Iterable[tuple[bytes, int]]) -> bool:

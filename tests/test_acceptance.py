@@ -11,10 +11,14 @@ import time
 import warnings
 from itertools import product
 
+import pytest
+
 from conftest import ACCEPTANCE_LINES
 from xorfunc import basic, blocked, compact, filters, phf, serial, thresholds
 from xorfunc.errors import BadCrc, BadMagic, ContainerError, RandomnessExhausted
 from xorfunc.hashing import build_split_share, split_share_eval
+
+pytestmark = pytest.mark.slow
 
 
 def report(num, name, checks, elapsed):

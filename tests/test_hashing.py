@@ -1,13 +1,16 @@
+import hashlib
 import math
+import struct
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CHI2_999, chi_square_ok
 from xorfunc.errors import EmptySupport, IndexOutOfRange, KTooLarge, ZeroRange
 from xorfunc.hashing import (
+    MASK64,
     ROLE_PROBE,
     SeededHasher,
     build_binomial_table,
@@ -44,6 +47,26 @@ def test_hash_is_a_pure_function_of_inputs():
         b"determinism"
     )
     assert SeededHasher(12345, 67).u64(b"determinism") == 0x28F780E34C2908AA
+
+
+_WORDS = st.one_of(
+    st.integers(min_value=0, max_value=1 << 66),
+    st.sampled_from([(1 << 63) - 1, 1 << 63, MASK64, 1 << 64, (1 << 64) + 5]),
+)
+
+
+@given(_WORDS, _WORDS, st.lists(st.binary(max_size=300), min_size=1, max_size=4))
+@example(1 << 63, MASK64, [b"", b"x" * 128, b"y" * 129, b""])
+@example(0, 1 << 64, [bytes(range(256)) * 2])
+@settings(max_examples=200, deadline=None)
+def test_u64_equals_a_fresh_keyed_blake2b(seed, index, keys):
+    # the hasher copies one keyed prototype per call; repeating keys on the
+    # same hasher shows the prototype is never consumed
+    h = SeededHasher(seed, index)
+    prf_key = struct.pack("<QQ", seed & MASK64, index & MASK64)
+    for key in keys + keys[::-1]:
+        fresh = hashlib.blake2b(key, digest_size=8, key=prf_key).digest()
+        assert h.u64(key) == int.from_bytes(fresh, "little")
 
 
 def test_hash_uniformity_chi_square():
