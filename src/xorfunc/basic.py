@@ -110,10 +110,9 @@ class RetrievalStructure(Retrieval):
         """Stored value for construction keys; some r-bit value for any other key."""
         if self.m == 0 or self.k > self.m:
             return 0
-        entries = self._entries
         acc = 0
-        for j in distinct_k_set(key, self.k, self.m, self._hashers):
-            acc ^= entries[j]
+        for j in self.probes(key):
+            acc ^= self._entries[j]
         return acc
 
     def stats(self) -> list[str]:
@@ -145,11 +144,10 @@ class CompressedRetrieval(Retrieval):
         """Same answer as the uncompressed structure; non-pivot probes contribute 0."""
         if self.m == 0 or self.k > self.m:
             return 0
-        membership, entries = self.membership, self._entries
         acc = 0
         for j in distinct_k_set(key, self.k, self.m, self._hashers):
-            if membership.get(j):
-                acc ^= entries[membership.rank1(j)]
+            if self.membership.get(j):
+                acc ^= self._entries[self.membership.rank1(j)]
         return acc
 
 
@@ -168,15 +166,10 @@ class SplitShareRetrieval(Retrieval):
     chunk_generations: list[int]
     chunk_offsets: np.ndarray  # prefix offsets, len num_chunks + 1
     table: np.ndarray
-    _hashers: list[list[ChunkHasher]] = field(init=False, repr=False)
     _offsets: memoryview = field(init=False, repr=False)
     _entries: memoryview = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._hashers = [
-            [ChunkHasher(self.provider, ci, gen * self.k + l + 1) for l in range(self.k)]
-            for ci, gen in enumerate(self.chunk_generations)
-        ]
         self._offsets = memoryview(self.chunk_offsets)
         self._entries = memoryview(self.table)
 
@@ -192,6 +185,10 @@ class SplitShareRetrieval(Retrieval):
     def table_bits(self) -> int:
         return self.m * self.r
 
+    def _chunk_hashers(self, chunk: int) -> list[ChunkHasher]:
+        gen = self.chunk_generations[chunk]
+        return [ChunkHasher(self.provider, chunk, gen * self.k + l + 1) for l in range(self.k)]
+
     def query(self, key: bytes) -> int:
         """XOR of k probes in the segment of the key's chunk."""
         ci = self.provider.chunk_of(key)
@@ -199,10 +196,9 @@ class SplitShareRetrieval(Retrieval):
         seg_len = self._offsets[ci + 1] - start
         if seg_len == 0:
             return 0
-        entries = self._entries
         acc = 0
-        for j in distinct_k_set(key, self.k, seg_len, self._hashers[ci]):
-            acc ^= entries[start + j]
+        for j in distinct_k_set(key, self.k, seg_len, self._chunk_hashers(ci)):
+            acc ^= self._entries[start + j]
         return acc
 
     def stats(self) -> list[str]:

@@ -100,13 +100,12 @@ class BlockedRetrieval(Retrieval):
     def query(self, key: bytes) -> int:
         """XOR of k probes in the key's segment and 3 probes in the secondary."""
         base = self.block_of(key) * self.segment_len
-        primary, secondary = self._primary_entries, self._secondary_entries
         acc = 0
         for j in distinct_k_set(key, self.k, self.segment_len, self._primary_hashers):
-            acc ^= primary[base + j]
-        if len(secondary):
-            for j in distinct_k_set(key, SECONDARY_K, len(secondary), self._secondary_hashers):
-                acc ^= secondary[j]
+            acc ^= self._primary_entries[base + j]
+        if self.secondary_len:
+            for j in distinct_k_set(key, SECONDARY_K, self.secondary_len, self._secondary_hashers):
+                acc ^= self._secondary_entries[j]
         return acc
 
     def stats(self) -> list[str]:

@@ -84,10 +84,9 @@ class CompactRetrieval(Retrieval):
         kx = self.probe_count(key)
         if not self.binom.lo <= kx <= self.binom.hi:
             return 0
-        entries = self._entries
         acc = 0
         for j in distinct_k_set(key, kx, self.n, self._probe_hashers):
-            acc ^= entries[j]
+            acc ^= self._entries[j]
         return acc
 
     def stats(self) -> list[str]:

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import EmptySupport, IndexOutOfRange, KTooLarge, RandomnessExhausted, ZeroRange
 
 MASK64 = (1 << 64) - 1
-_from_bytes = int.from_bytes  # bound once: u64 runs once per probe
 _PRIME61 = (1 << 61) - 1
 _FIXED_ONE = 1 << 64
 
@@ -60,7 +59,7 @@ class SeededHasher:
     def u64(self, key: bytes) -> int:
         h = self._prf.copy()
         h.update(key)
-        return _from_bytes(h.digest(), "little")
+        return int.from_bytes(h.digest(), "little")
 
     def hash_to_range(self, key: bytes, range_: int) -> int:
         if range_ < 1:
@@ -223,12 +222,9 @@ class SplitShareTables:
     pairs: list[UniversalPair | None]
     tables: list[tuple[list[int], list[int]]]
     max_chunk: int
-    # hashers and empty chunks' fallback pairs, made once and not serialized
+    # hashers made once, not serialized
     _splitter: SeededHasher = field(init=False, repr=False, compare=False)
     _base: SeededHasher = field(init=False, repr=False, compare=False)
-    _spare_pairs: dict[int, UniversalPair] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
 
     def __post_init__(self) -> None:
         self._splitter = SeededHasher(
@@ -241,16 +237,6 @@ class SplitShareTables:
 
     def digest(self, key: bytes) -> int:
         return self._base.u64(key)
-
-    def _pair(self, chunk: int) -> UniversalPair:
-        """The chunk's accepted pair; an empty chunk has none and uses attempt 0's."""
-        pair = self.pairs[chunk]
-        if pair is None:
-            pair = self._spare_pairs.get(chunk)
-            if pair is None:
-                pair = _draw_pair(self.master_seed, chunk, 0, self.r_tab)
-                self._spare_pairs[chunk] = pair
-        return pair
 
     def ensure_tables(self, j: int) -> None:
         """Materialize shared table pairs up to index j (1-based); entries are
@@ -362,7 +348,10 @@ def split_share_eval(tables: SplitShareTables, chunk: int, j: int, key: bytes) -
         raise IndexOutOfRange(f"chunk {chunk} out of [0, {tables.num_chunks})")
     if not 1 <= j <= len(tables.tables):
         raise IndexOutOfRange(f"function index {j} out of [1, {len(tables.tables)}]")
-    v0, v1 = tables._pair(chunk).values(tables.digest(key))
+    pair = tables.pairs[chunk]
+    if pair is None:
+        pair = _draw_pair(tables.master_seed, chunk, 0, tables.r_tab)
+    v0, v1 = pair.values(tables.digest(key))
     t0, t1 = tables.tables[j - 1]
     return shared_pair_value(t0, t1, v0, v1, tables.t)
 

@@ -112,10 +112,9 @@ class PerfectHash:
     def query(self, key: bytes) -> int:
         """Injective on construction keys; some position in [m] for any other key."""
         probes = distinct_k_set(key, self.k, self.m, self._hashers)
-        selectors = self._selectors
         selector = 0
         for j in probes:
-            selector ^= selectors[j]
+            selector ^= self._selectors[j]
         return probes[selector % self.k]
 
     def verify(self, pairs: Iterable[tuple[bytes, int]]) -> bool:
