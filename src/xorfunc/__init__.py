@@ -31,7 +31,6 @@ from .errors import (
     BadMagic,
     ContainerError,
     ConvergenceFailure,
-    DimensionMismatch,
     DomainError,
     DuplicateKeys,
     EmptySupport,
@@ -40,7 +39,6 @@ from .errors import (
     ParseError,
     PivotMismatch,
     RandomnessExhausted,
-    SingularMatrix,
     UnsupportedVersion,
     XorFuncError,
     ZeroRange,
@@ -56,17 +54,7 @@ from .filters import (
     query_bloomier,
     query_filter,
 )
-from .gf2 import (
-    BitMatrix,
-    Pseudoinverse,
-    WordVector,
-    mat_vec_xor,
-    pseudoinverse,
-    rank,
-    solve_sparse,
-    solve_xor_system,
-    system_full_rank,
-)
+from .gf2 import solve_xor_system, system_full_rank
 from .hashing import (
     ConditionedBinomialTable,
     SeededHasher,

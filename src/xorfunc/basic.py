@@ -197,7 +197,8 @@ class SplitShareRetrieval(Retrieval):
         if seg_len == 0:
             return 0
         acc = 0
-        for j in distinct_k_set(key, self.k, seg_len, self._chunk_hashers(ci)):
+        digest = self.provider.digest(key)
+        for j in distinct_k_set(digest, self.k, seg_len, self._chunk_hashers(ci)):
             acc ^= self._entries[start + j]
         return acc
 
@@ -281,10 +282,11 @@ def _build_split_share(
             continue
         seg_len = seg_lens[ci]
         values = [v for _, v in members]
+        digests = [provider.digest(key) for key, _ in members]
         for gen in range(retry_cap):
             provider.ensure_tables((gen + 1) * k)
             hashers = [ChunkHasher(provider, ci, gen * k + l + 1) for l in range(k)]
-            rows = [distinct_k_set(key, k, seg_len, hashers) for key, _ in members]
+            rows = [distinct_k_set(digest, k, seg_len, hashers) for digest in digests]
             solved = solve_xor_system(rows, values, seg_len)
             if solved is not None:
                 base = int(offsets[ci])

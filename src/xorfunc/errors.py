@@ -5,14 +5,6 @@ class XorFuncError(Exception):
     """Base class for all library errors."""
 
 
-class SingularMatrix(XorFuncError):
-    """Rows are linearly dependent; the caller should retry with fresh seeds."""
-
-
-class DimensionMismatch(XorFuncError):
-    """Operand shapes are incompatible."""
-
-
 class ZeroRange(XorFuncError):
     """A hash range of zero was requested."""
 

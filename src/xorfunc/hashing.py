@@ -71,7 +71,7 @@ def probe_hashers(seed: int, role: int, generation: int, count: int) -> list[See
     return [SeededHasher(seed, fn_index(role, generation, s)) for s in range(count)]
 
 
-def distinct_k_set(key: bytes, k: int, m: int, hashers: Sequence) -> tuple[int, ...]:
+def distinct_k_set(key: bytes | int, k: int, m: int, hashers: Sequence) -> tuple[int, ...]:
     """Ordered sequence of k distinct indices in [m], uniform over draws.
 
     Simulates the swap-to-the-back shuffle on a virtual array without
@@ -344,6 +344,11 @@ def build_split_share(
 
 def split_share_eval(tables: SplitShareTables, chunk: int, j: int, key: bytes) -> int:
     """Simulated fully random value in [t] for chunk's j-th shared function."""
+    return split_share_value(tables, chunk, j, tables.digest(key))
+
+
+def split_share_value(tables: SplitShareTables, chunk: int, j: int, digest: int) -> int:
+    """:func:`split_share_eval` for the key whose ``tables.digest`` is ``digest``."""
     if not 0 <= chunk < tables.num_chunks:
         raise IndexOutOfRange(f"chunk {chunk} out of [0, {tables.num_chunks})")
     if not 1 <= j <= len(tables.tables):
@@ -351,13 +356,17 @@ def split_share_eval(tables: SplitShareTables, chunk: int, j: int, key: bytes) -
     pair = tables.pairs[chunk]
     if pair is None:
         pair = _draw_pair(tables.master_seed, chunk, 0, tables.r_tab)
-    v0, v1 = pair.values(tables.digest(key))
+    v0, v1 = pair.values(digest)
     t0, t1 = tables.tables[j - 1]
     return shared_pair_value(t0, t1, v0, v1, tables.t)
 
 
 class ChunkHasher:
-    """Adapter exposing one simulated chunk function as a SeededHasher-alike."""
+    """Adapter exposing one simulated chunk function as a SeededHasher-alike.
+
+    It is handed the key's digest (``tables.digest(key)``) in place of the
+    key, so the k probes of a key share one PRF call.
+    """
 
     __slots__ = ("tables", "chunk", "j")
 
@@ -366,7 +375,7 @@ class ChunkHasher:
         self.chunk = chunk
         self.j = j
 
-    def hash_to_range(self, key: bytes, range_: int) -> int:
+    def hash_to_range(self, digest: int, range_: int) -> int:
         if range_ < 1:
             raise ZeroRange(f"range {range_} < 1")
-        return split_share_eval(self.tables, self.chunk, self.j, key) % range_
+        return split_share_value(self.tables, self.chunk, self.j, digest) % range_

@@ -1,41 +1,49 @@
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_rank, random_weight_k_entries
-from xorfunc.errors import DimensionMismatch, SingularMatrix
 from xorfunc.gf2 import (
-    BitMatrix,
-    WordVector,
-    mat_vec_xor,
-    pseudoinverse,
-    rank,
+    eliminate,
+    pack_probe_rows,
     reduce_xor_system,
-    solve_sparse,
     solve_xor_system,
     system_full_rank,
 )
 
 
-def bitmatrix_from_entries(entries):
-    return BitMatrix.from_lists(entries)
+def probe_rows_of(entries):
+    """Probe sets (set columns per row) of explicit 0/1 rows."""
+    return [tuple(j for j, v in enumerate(row) if v) for row in entries]
+
+
+def full_rank(rows, n_cols):
+    return system_full_rank(rows, n_cols) is not None
+
+
+def xor_of(table, row):
+    acc = 0
+    for j in row:
+        acc ^= int(table[j])
+    return acc
 
 
 def test_rank_identity():
-    assert rank(BitMatrix.identity(3)) == 3
+    assert system_full_rank([(0,), (1,), (2,)], 3) == [0, 1, 2]
 
 
 def test_rank_duplicate_rows():
-    m = BitMatrix.from_lists([[1, 0, 1], [1, 0, 1]])
-    assert rank(m) == 1
+    assert system_full_rank([(0, 2), (0, 2)], 3) is None
 
 
 def test_rank_random_weight3_matches_naive_oracle():
     rng = random.Random(7)
     entries = random_weight_k_entries(rng, 100, 120, 3)
-    assert rank(bitmatrix_from_entries(entries)) == naive_rank(entries)
+    assert full_rank(probe_rows_of(entries), 120) == (naive_rank(entries) == 100)
 
 
 def test_rank_fuzz_against_naive_oracle():
@@ -50,164 +58,101 @@ def test_rank_fuzz_against_naive_oracle():
         entries = [
             [1 if rng.random() < 0.35 else 0 for _ in range(n_cols)] for _ in range(n_rows)
         ]
-        assert rank(bitmatrix_from_entries(entries)) == naive_rank(entries)
+        assert full_rank(probe_rows_of(entries), n_cols) == (naive_rank(entries) == n_rows)
 
 
 def test_rank_invariant_under_row_ops():
     rng = random.Random(13)
     entries = random_weight_k_entries(rng, 30, 40, 3)
-    m = bitmatrix_from_entries(entries)
-    base = rank(m)
-    rows = list(m.rows)
+    rows = [sum(1 << j for j, v in enumerate(row) if v) for row in entries]
+    base = naive_rank(entries)
     for _ in range(50):
         i, j = rng.randrange(30), rng.randrange(30)
         if i != j:
             rows[i] ^= rows[j]  # xor one row into another
         a, b = rng.randrange(30), rng.randrange(30)
         rows[a], rows[b] = rows[b], rows[a]
-    assert rank(BitMatrix(30, 40, tuple(rows))) == base
+    mixed = [tuple(j for j in range(40) if row >> j & 1) for row in rows]
+    assert full_rank(mixed, 40) == (base == 30)
 
 
 def test_pseudoinverse_identity():
-    pinv = pseudoinverse(BitMatrix.identity(4))
-    assert pinv.pivots == (0, 1, 2, 3)
-    assert pinv.c.rows == BitMatrix.identity(4).rows
+    reduction = reduce_xor_system([(0,), (1,), (2,), (3,)], 4)
+    assert reduction.solve([5, 6, 7, 8]).tolist() == [5, 6, 7, 8]
 
 
 def test_pseudoinverse_postcondition_direct_multiply():
-    m = BitMatrix.from_lists([[1, 1], [0, 1]])
-    pinv = pseudoinverse(m)
-    # column b_i of C*M must equal unit vector e_i
-    cm_rows = []
-    for ci in pinv.c.rows:
+    rows = [(0, 1), (1, 2), (0, 1, 2)]  # no column is hit once: all three form the core
+    reduction = reduce_xor_system(rows, 3)
+    assert sorted(reduction.core_pivots) == [0, 1, 2]
+    # the rows marked for pivot t XOR to the unit vector of column core_pivots[t]
+    for t, marks in enumerate(reduction.core_rows):
         acc = 0
-        for j in range(m.n_rows):
-            if (ci >> j) & 1:
-                acc ^= m.rows[j]
-        cm_rows.append(acc)
-    for i, b in enumerate(pinv.pivots):
-        col = [(row >> b) & 1 for row in cm_rows]
-        expected = [1 if t == i else 0 for t in range(m.n_rows)]
-        assert col == expected
+        for c, marked in zip(reduction.core, marks):
+            if marked:
+                acc ^= sum(1 << j for j in rows[c])
+        assert acc == 1 << reduction.core_pivots[t]
 
 
 def test_pseudoinverse_zero_row_is_singular():
-    m = BitMatrix.from_lists([[1, 0, 1], [0, 0, 0]])
-    with pytest.raises(SingularMatrix):
-        pseudoinverse(m)
+    assert reduce_xor_system([(0, 2), ()], 3) is None
 
 
 def test_pseudoinverse_random_instances_pivot_columns_exact():
     rng = random.Random(17)
     built = 0
     while built < 20:
-        entries = random_weight_k_entries(rng, 25, 35, 3)
-        m = bitmatrix_from_entries(entries)
-        try:
-            pinv = pseudoinverse(m)
-        except SingularMatrix:
+        rows = [tuple(rng.sample(range(35), 3)) for _ in range(25)]
+        reduction = reduce_xor_system(rows, 35)
+        if reduction is None:
             continue
         built += 1
-        assert len(set(pinv.pivots)) == m.n_rows
-        assert rank(pinv.c) == m.n_rows  # C is invertible
-        cm_rows = []
-        for ci in pinv.c.rows:
+        pivots = reduction.core_pivots
+        assert len(set(pivots)) == len(pivots) == len(reduction.core)
+        for t, marks in enumerate(reduction.core_rows):
             acc = 0
-            for j in range(m.n_rows):
-                if (ci >> j) & 1:
-                    acc ^= m.rows[j]
-            cm_rows.append(acc)
-        for i, b in enumerate(pinv.pivots):
-            assert [(row >> b) & 1 for row in cm_rows] == [
-                1 if t == i else 0 for t in range(m.n_rows)
-            ]
+            for c, marked in zip(reduction.core, marks):
+                if marked:
+                    acc ^= sum(1 << j for j in rows[c])
+            assert [acc >> b & 1 for b in pivots] == [int(s == t) for s in range(len(pivots))]
 
 
 def test_solve_sparse_identity():
-    m = BitMatrix.identity(5)
-    pinv = pseudoinverse(m)
-    u = WordVector((1, 2, 3, 4, 5), 8)
-    assert solve_sparse(m, pinv, u).entries == u.entries
+    table, pivots = solve_xor_system([(i,) for i in range(5)], [1, 2, 3, 4, 5], 5)
+    assert table.tolist() == [1, 2, 3, 4, 5]
+    assert sorted(pivots) == [0, 1, 2, 3, 4]
 
 
 def test_solve_sparse_random_full_rank_instance():
     rng = random.Random(23)
     while True:
-        entries = random_weight_k_entries(rng, 50, 60, 3)
-        m = bitmatrix_from_entries(entries)
-        try:
-            pinv = pseudoinverse(m)
+        rows = [tuple(rng.sample(range(60), 3)) for _ in range(50)]
+        if full_rank(rows, 60):
             break
-        except SingularMatrix:
-            continue
-    u = WordVector(tuple(rng.randrange(256) for _ in range(50)), 8)
-    a = solve_sparse(m, pinv, u)
-    assert a.length == 60
-    assert mat_vec_xor(m, a).entries == u.entries
-    non_pivot = set(range(60)) - set(pinv.pivots)
-    assert all(a.entries[j] == 0 for j in non_pivot)
+    values = [rng.randrange(256) for _ in range(50)]
+    table, pivots = solve_xor_system(rows, values, 60)
+    assert len(table) == 60
+    assert [xor_of(table, row) for row in rows] == values
+    non_pivot = set(range(60)) - set(pivots)
+    assert all(table[j] == 0 for j in non_pivot)
 
 
 def test_solve_sparse_zero_rhs_gives_zero_solution():
-    m = BitMatrix.from_lists([[1, 1, 0], [0, 1, 1]])
-    pinv = pseudoinverse(m)
-    a = solve_sparse(m, pinv, WordVector((0, 0), 4))
-    assert all(e == 0 for e in a.entries)
-
-
-def test_solve_sparse_dimension_mismatch():
-    m = BitMatrix.identity(3)
-    pinv = pseudoinverse(m)
-    with pytest.raises(DimensionMismatch):
-        solve_sparse(m, pinv, WordVector((1, 2), 8))
+    table, _ = solve_xor_system([(0, 1), (1, 2)], [0, 0], 3)
+    assert not table.any()
 
 
 def test_solve_roundtrip_across_widths():
     rng = random.Random(29)
-    for r in (1, 8, 16, 32):
+    for r in (1, 8, 16, 32, 64):
         while True:
-            entries = random_weight_k_entries(rng, 30, 40, 3)
-            m = bitmatrix_from_entries(entries)
-            try:
-                pinv = pseudoinverse(m)
+            rows = [tuple(rng.sample(range(40), 3)) for _ in range(30)]
+            if full_rank(rows, 40):
                 break
-            except SingularMatrix:
-                continue
         for _ in range(100):
-            u = WordVector(tuple(rng.randrange(1 << r) for _ in range(30)), r)
-            a = solve_sparse(m, pinv, u)
-            assert mat_vec_xor(m, a).entries == u.entries
-
-
-def test_mat_vec_xor_zero_matrix():
-    m = BitMatrix(2, 3, (0, 0))
-    out = mat_vec_xor(m, WordVector((1, 2, 3), 8))
-    assert out.entries == (0, 0)
-
-
-def test_mat_vec_xor_single_row():
-    m = BitMatrix.from_lists([[1, 0, 1]])
-    out = mat_vec_xor(m, WordVector((0x0A, 0x55, 0x0F), 8))
-    assert out.entries == (0x0A ^ 0x0F,)
-
-
-def test_mat_vec_xor_matches_naive_double_loop():
-    rng = random.Random(31)
-    entries = [[rng.randrange(2) for _ in range(17)] for _ in range(9)]
-    vec = tuple(rng.randrange(1 << 12) for _ in range(17))
-    m = bitmatrix_from_entries(entries)
-    got = mat_vec_xor(m, WordVector(vec, 12))
-    for i in range(9):
-        acc = 0
-        for j in range(17):
-            if entries[i][j]:
-                acc ^= vec[j]
-        assert got.entries[i] == acc
-
-
-def test_mat_vec_xor_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        mat_vec_xor(BitMatrix.identity(3), WordVector((1, 2), 8))
+            values = [rng.getrandbits(r) for _ in range(30)]
+            table, _ = solve_xor_system(rows, values, 40)
+            assert [xor_of(table, row) for row in rows] == values
 
 
 def test_solve_xor_system_solution_and_pivots():
@@ -265,26 +210,146 @@ def test_reduction_solves_like_solve_xor_system():
     assert cores > 0  # the dense-core route was taken
 
 
-@given(
-    st.lists(st.integers(min_value=0, max_value=(1 << 20) - 1), min_size=1, max_size=12),
-)
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 20) - 1), min_size=1, max_size=12))
 @settings(max_examples=60, deadline=None)
 def test_rank_bounds_property(rows):
-    m = BitMatrix(len(rows), 20, tuple(rows))
-    r = rank(m)
-    assert 0 <= r <= min(len(rows), 20)
-    # duplicating every row never changes the rank
-    doubled = BitMatrix(2 * len(rows), 20, tuple(rows) + tuple(rows))
-    assert rank(doubled) == r
+    sets = [tuple(j for j in range(20) if row >> j & 1) for row in rows]
+    pivots = system_full_rank(sets, 20)
+    if pivots is not None:
+        assert len(pivots) == len(set(pivots)) == len(rows) <= 20
+    # duplicating every row never leaves full rank
+    assert system_full_rank(sets + sets, 20) is None
 
 
-@given(st.integers(min_value=1, max_value=16), st.data())
-@settings(max_examples=40, deadline=None)
-def test_wordvector_validation(r, data):
-    entries = data.draw(
-        st.lists(st.integers(min_value=0, max_value=(1 << r) - 1), max_size=8)
-    )
-    v = WordVector(tuple(entries), r)
-    assert v.length == len(entries)
-    with pytest.raises(ValueError):
-        WordVector((1 << r,), r)
+def _oracle(rows, n_cols):
+    """Exhaustive search: for every column vector x, the bitmask of rows it satisfies."""
+    masks = [sum(1 << j for j in row) for row in rows]
+    images = {}
+    for x in range(1 << n_cols):
+        image = sum(((m & x).bit_count() & 1) << i for i, m in enumerate(masks))
+        images.setdefault(image, []).append(x)
+    return images
+
+
+def _check_against_oracle(rows, n_cols, values, r, table, pivots):
+    images = _oracle(rows, n_cols)
+    assert len(pivots) == len(set(pivots)) == len(rows)
+    support = sum(1 << j for j in pivots)
+    for b in range(r):
+        # bit b of the table is the one solution of bit b of the values
+        # among the column vectors that are zero off the pivots
+        target = sum((v >> b & 1) << i for i, v in enumerate(values))
+        on_pivots = [x for x in images[target] if not x & ~support]
+        assert on_pivots == [sum((int(table[j]) >> b & 1) << j for j in range(n_cols))]
+
+
+def test_small_systems_match_exhaustive_search():
+    rng = random.Random(47)
+    seen = {"dependent": 0, "empty core": 0, "core": 0}
+    for trial in range(600):
+        n_rows = rng.randint(1, 9)  # one more row may be added below
+        n_cols = rng.randint(1, 12)
+        low = 1
+        if trial % 2:  # heavy rows over few columns rarely peel: a dense core
+            n_cols = rng.randint(n_rows, min(12, n_rows + 3))
+            low = 3
+        rows = [tuple(rng.sample(range(n_cols), rng.randint(min(low, n_cols), min(4, n_cols))))
+                for _ in range(n_rows)]
+        if trial % 10 == 0:
+            rows.append(rows[0])  # a repeated row
+        if trial % 10 == 1 and len(rows) > 1 and 1 <= len(set(rows[0]) ^ set(rows[1])) <= 4:
+            rows.append(tuple(set(rows[0]) ^ set(rows[1])))  # the sum of two rows
+        r = rng.choice((1, 3, 8))
+        values = [rng.getrandbits(r) for _ in rows]
+        independent = len(_oracle(rows, n_cols)) == 1 << len(rows)
+
+        solved = solve_xor_system(rows, values, n_cols)
+        reduction = reduce_xor_system(rows, n_cols)
+        assert (system_full_rank(rows, n_cols) is not None) == independent
+        assert (solved is not None) == independent
+        assert (reduction is not None) == independent
+        if not independent:
+            seen["dependent"] += 1
+            continue
+        seen["core" if reduction.core else "empty core"] += 1
+        table, pivots = solved
+        assert [xor_of(table, row) for row in rows] == values
+        assert all(table[j] == 0 for j in set(range(n_cols)) - set(pivots))
+        _check_against_oracle(rows, n_cols, values, r, table, pivots)
+        assert reduction.solve(values).tolist() == table.tolist()
+    assert min(seen.values()) >= 20, seen
+
+
+def _solve_on_columns(rows, values, cols):
+    """Gauss-Jordan on int bitsets, restricted to ``cols``: the unique solution there."""
+    pos = {j: t for t, j in enumerate(cols)}
+    width = len(cols)
+    eqs = [sum(1 << pos[j] for j in row if j in pos) | v << width for row, v in zip(rows, values)]
+    for t in range(width):
+        p = next(i for i in range(t, len(eqs)) if eqs[i] >> t & 1)
+        eqs[t], eqs[p] = eqs[p], eqs[t]
+        for i in range(len(eqs)):
+            if i != t and eqs[i] >> t & 1:
+                eqs[i] ^= eqs[t]
+    return {j: eqs[pos[j]] >> width for j in cols}
+
+
+def test_dense_core_is_the_unique_solution_on_its_pivots():
+    n, k, delta = 2000, 4, 0.035
+    m = math.ceil((1 + delta) * n)
+    rng = random.Random(53)
+    for _ in range(20):
+        rows = [tuple(rng.sample(range(m), k)) for _ in range(n)]
+        values = [rng.getrandbits(8) for _ in range(n)]
+        solved = solve_xor_system(rows, values, m)
+        if solved is not None:
+            break
+    table, pivots = solved
+    reduction = reduce_xor_system(rows, m)
+    assert len(reduction.core) > n // 2  # most rows stay in the dense core
+    assert [xor_of(table, row) for row in rows] == values
+    assert len(set(pivots)) == n
+    assert not table[sorted(set(range(m)) - set(pivots))].any()
+    expected = _solve_on_columns(rows, values, sorted(pivots))
+    assert all(int(table[j]) == v for j, v in expected.items())
+    assert reduction.solve(values).tolist() == table.tolist()
+
+
+def test_eliminate_is_forward_only_and_rides_the_row_operations():
+    rng = random.Random(59)
+    n_rows, n_cols = 40, 70
+    rows = [tuple(rng.sample(range(n_cols), 3)) for _ in range(n_rows)]
+    packed = pack_probe_rows(rows, n_cols)
+    identity = pack_probe_rows([[i] for i in range(n_rows)], n_rows)
+    arr = np.hstack([packed, identity])
+    pivots = eliminate(arr, n_cols)
+    masks = [sum(1 << j for j in row) for row in rows]
+    width = 64 * packed.shape[1]
+    values = [int.from_bytes(row.tobytes(), "little") for row in arr]
+    echelon = [v & ((1 << width) - 1) for v in values]
+    for t, c in enumerate(pivots):  # zero left of its pivot, and the pivot cleared below
+        assert echelon[t] & ((2 << c) - 1) == 1 << c
+        assert not any(e >> c & 1 for e in echelon[t + 1 :])
+    assert not any(echelon[len(pivots) :])
+    for e, v in zip(echelon, values):  # the ridden words record the row operations
+        combined = 0
+        for i in range(n_rows):
+            if v >> (width + i) & 1:
+                combined ^= masks[i]
+        assert combined == e
+    assert len(pivots) == naive_rank([[int(j in row) for j in range(n_cols)] for row in rows])
+
+
+def test_rank_solve_and_reduction_share_pivots():
+    rng = random.Random(61)
+    for _ in range(50):
+        n_cols = rng.randint(10, 80)
+        rows = [tuple(rng.sample(range(n_cols), 3)) for _ in range(rng.randint(1, n_cols))]
+        pivots = system_full_rank(rows, n_cols)
+        if pivots is None:
+            continue
+        values = [rng.getrandbits(16) for _ in rows]
+        _, solve_pivots = solve_xor_system(rows, values, n_cols)
+        reduction = reduce_xor_system(rows, n_cols)
+        peeled = [j for _, j in reduction.peel_order]
+        assert sorted(pivots) == sorted(solve_pivots) == sorted(peeled + reduction.core_pivots)

@@ -12,6 +12,7 @@ from xorfunc.errors import EmptySupport, IndexOutOfRange, KTooLarge, ZeroRange
 from xorfunc.hashing import (
     MASK64,
     ROLE_PROBE,
+    ChunkHasher,
     SeededHasher,
     build_binomial_table,
     build_split_share,
@@ -225,6 +226,16 @@ def test_split_share_single_key():
     v = split_share_eval(tables, chunk, 1, b"only")
     assert 0 <= v < 16
     assert v == split_share_eval(tables, chunk, 1, b"only")
+
+
+def test_chunk_hasher_on_the_digest_equals_split_share_eval():
+    keys = [b"cd%d" % i for i in range(500)]
+    tables = build_split_share(keys, L=3, t=1 << 20, seed=5)
+    for key in keys[:100]:
+        chunk, digest = tables.chunk_of(key), tables.digest(key)
+        for j in (1, 2, 3):
+            hasher = ChunkHasher(tables, chunk, j)
+            assert hasher.hash_to_range(digest, 1000) == split_share_eval(tables, chunk, j, key) % 1000
 
 
 def test_split_share_max_chunk_bound():

@@ -120,3 +120,21 @@ def test_split_share_and_compact_views_see_in_place_edits():
     c = compact.build_compact(pairs, r=8, seed=3)
     c.table ^= np.uint64(1)  # flips the answer once per probe
     assert c.query(key) == value ^ (c.probe_count(key) & 1)
+
+
+def test_split_share_query_makes_two_prf_calls(monkeypatch):
+    """The chunk split and one key digest: the k = 3 probes share the digest."""
+    pairs = pairs_of(N)
+    s = basic.build(pairs, r=8, seed=2, split_share=True)
+    calls = []
+    original = SeededHasher.u64
+
+    def counting(self, key):
+        calls.append(key)
+        return original(self, key)
+
+    monkeypatch.setattr(SeededHasher, "u64", counting)
+    for key, value in pairs[:100]:
+        calls.clear()
+        assert s.query(key) == value
+        assert len(calls) == 2
