@@ -11,7 +11,6 @@ import argparse
 import time
 
 from xorfunc.blocked import build_blocked
-from xorfunc.hashing import ROLE_SPLIT, SeededHasher, fn_index
 
 
 def main() -> None:
@@ -36,10 +35,9 @@ def main() -> None:
         elapsed = time.perf_counter() - start
 
         # recount which overflow keys came from blocks that cannot be full rank
-        splitter = SeededHasher(args.seed, fn_index(ROLE_SPLIT))
         sizes = [0] * d.m0
         for key, _ in pairs:
-            sizes[splitter.hash_to_range(key, d.m0)] += 1
+            sizes[d.block_of(key)] += 1
         oversize_keys = sum(s for s in sizes if s > d.segment_len)
         singular_keys = d.overflow_count - oversize_keys
         print(

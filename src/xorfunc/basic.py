@@ -25,9 +25,9 @@ from .hashing import (
     ChunkHasher,
     SeededHasher,
     SplitShareTables,
-    build_split_share,
     distinct_k_set,
     probe_hashers,
+    split_and_share,
 )
 
 DEFAULT_RETRY_CAP = 64
@@ -241,71 +241,54 @@ def build(
         raise KTooLarge(f"k={k} exceeds table size m={m}")
     values = [v for _, v in items]
     for gen in range(retry_cap):
-        hashers = probe_hashers(seed, ROLE_PROBE, gen, k)
-        rows = [distinct_k_set(key, k, m, hashers) for key, _ in items]
+        d = RetrievalStructure(
+            n=n, m=m, k=k, r=r, delta=delta, master_seed=seed, seed_generation=gen,
+            table=np.zeros(m, dtype=np.uint64),
+        )
+        rows = [d.probes(key) for key, _ in items]
         solved = solve_xor_system(rows, values, m)
         if solved is not None:
             table, pivots = solved
-            return RetrievalStructure(
-                n=n,
-                m=m,
-                k=k,
-                r=r,
-                delta=delta,
-                master_seed=seed,
-                seed_generation=gen,
-                table=table,
-                pivots=tuple(sorted(pivots)),
-            )
+            d.table[:] = table
+            d.pivots = tuple(sorted(pivots))
+            return d
     raise RandomnessExhausted(f"no full-rank system within {retry_cap} generations")
 
 
 def _build_split_share(
     items: list[Pair], r: int, k: int, delta: float, seed: int, retry_cap: int
 ) -> SplitShareRetrieval:
-    provider = build_split_share([key for key, _ in items], L=k, t=SPLIT_SHARE_T, seed=seed)
-    chunks: list[list[Pair]] = [[] for _ in range(provider.num_chunks)]
-    for key, value in items:
-        chunks[provider.chunk_of(key)].append((key, value))
-
+    provider, chunks, digests = split_and_share(
+        [key for key, _ in items], L=k, t=SPLIT_SHARE_T, seed=seed
+    )
     # small chunks need headroom beyond (1+delta): with seg_len == k every
     # row is the all-ones vector and two keys can never be independent
     seg_lens = [
         max(math.ceil((1 + delta) * len(c)), len(c) + 2, k) if c else 0 for c in chunks
     ]
     offsets = np.concatenate(([0], np.cumsum(seg_lens))).astype(np.int64)
-    table = np.zeros(int(offsets[-1]), dtype=np.uint64)
-    generations: list[int] = []
+    d = SplitShareRetrieval(
+        n=len(items), k=k, r=r, delta=delta, master_seed=seed, provider=provider,
+        chunk_generations=[0] * len(chunks), chunk_offsets=offsets,
+        table=np.zeros(int(offsets[-1]), dtype=np.uint64),
+    )
     for ci, members in enumerate(chunks):
         if not members:
-            generations.append(0)
             continue
         seg_len = seg_lens[ci]
-        values = [v for _, v in members]
-        digests = [provider.digest(key) for key, _ in members]
+        values = [items[i][1] for i in members]
         for gen in range(retry_cap):
             provider.ensure_tables((gen + 1) * k)
-            hashers = [ChunkHasher(provider, ci, gen * k + l + 1) for l in range(k)]
-            rows = [distinct_k_set(digest, k, seg_len, hashers) for digest in digests]
+            d.chunk_generations[ci] = gen
+            hashers = d._chunk_hashers(ci)
+            rows = [distinct_k_set(digests[i], k, seg_len, hashers) for i in members]
             solved = solve_xor_system(rows, values, seg_len)
             if solved is not None:
-                base = int(offsets[ci])
-                table[base : base + seg_len] = solved[0]
-                generations.append(gen)
+                d.table[offsets[ci] : offsets[ci + 1]] = solved[0]
                 break
         else:
             raise RandomnessExhausted(f"chunk {ci} failed {retry_cap} generations")
-    return SplitShareRetrieval(
-        n=len(items),
-        k=k,
-        r=r,
-        delta=delta,
-        master_seed=seed,
-        provider=provider,
-        chunk_generations=generations,
-        chunk_offsets=offsets,
-        table=table,
-    )
+    return d
 
 
 def query(structure, key: bytes):

@@ -15,7 +15,7 @@ no record of which blocks failed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -156,79 +156,66 @@ def build_blocked(
     m0 = math.ceil(n / b)
     forced = set(force_fail_blocks)
 
-    splitter = SeededHasher(seed, fn_index(ROLE_SPLIT))
+    d = BlockedRetrieval(
+        n=n, r=r, k=k, b=b, eps=eps, delta=delta, m0=m0, b_prime=b_prime,
+        segment_len=segment_len, master_seed=seed, secondary_generation=0, overflow_count=0,
+        primary=np.zeros(m0 * segment_len, dtype=np.uint64),
+        secondary=np.zeros(0, dtype=np.uint64),
+    )
     blocks: list[list[Pair]] = [[] for _ in range(m0)]
     for item in items:
-        blocks[splitter.hash_to_range(item[0], m0)].append(item)
+        blocks[d.block_of(item[0])].append(item)
 
-    primary_hashers = probe_hashers(seed, ROLE_PROBE, 0, k)
     overflow: list[Pair] = []
     reductions: list[XorReduction | None] = []
     for bi, members in enumerate(blocks):
         reduction = None
         # more rows than segment columns can never have full rank
         if members and len(members) <= segment_len and bi not in forced:
-            rows = [distinct_k_set(key, k, segment_len, primary_hashers) for key, _ in members]
+            rows = [distinct_k_set(key, k, segment_len, d._primary_hashers) for key, _ in members]
             reduction = reduce_xor_system(rows, segment_len)
         if reduction is None:
             overflow.extend(members)
         reductions.append(reduction)
 
     n_prime = len(overflow)
-    sec_len = secondary_size(n_prime)
-    secondary = np.zeros(0, dtype=np.uint64)
-    sec_gen = 0
     if n_prime:
+        sec_len = secondary_size(n_prime)
         for sec_gen in range(retry_cap):
-            sec_hashers = probe_hashers(seed, ROLE_SECONDARY, sec_gen, SECONDARY_K)
+            d = replace(
+                d, secondary_generation=sec_gen, overflow_count=n_prime,
+                secondary=np.zeros(sec_len, dtype=np.uint64),
+            )
             rows = [
-                distinct_k_set(key, SECONDARY_K, sec_len, sec_hashers) for key, _ in overflow
+                distinct_k_set(key, SECONDARY_K, sec_len, d._secondary_hashers)
+                for key, _ in overflow
             ]
             solved = solve_xor_system(rows, [v for _, v in overflow], sec_len)
             if solved is not None:
-                secondary = solved[0]
+                d.secondary[:] = solved[0]
                 break
         else:
             raise RandomnessExhausted(
                 f"secondary structure failed {retry_cap} generations (n'={n_prime})"
             )
-    sec_hashers = probe_hashers(seed, ROLE_SECONDARY, sec_gen, SECONDARY_K)
-    sec_entries = memoryview(secondary)
 
     def f_prime(key: bytes) -> int:
         if not n_prime:
             return 0
         acc = 0
-        for j in distinct_k_set(key, SECONDARY_K, sec_len, sec_hashers):
-            acc ^= sec_entries[j]
+        for j in distinct_k_set(key, SECONDARY_K, d.secondary_len, d._secondary_hashers):
+            acc ^= d._secondary_entries[j]
         return acc
 
-    primary = np.zeros(m0 * segment_len, dtype=np.uint64)
     for bi, members in enumerate(blocks):
         reduction = reductions[bi]
         if reduction is None:  # empty or failed block: segment stays all-zero
             continue
         base = bi * segment_len
-        primary[base : base + segment_len] = reduction.solve(
+        d.primary[base : base + segment_len] = reduction.solve(
             [value ^ f_prime(key) for key, value in members]
         )
-
-    return BlockedRetrieval(
-        n=n,
-        r=r,
-        k=k,
-        b=b,
-        eps=eps,
-        delta=delta,
-        m0=m0,
-        b_prime=b_prime,
-        segment_len=segment_len,
-        master_seed=seed,
-        secondary_generation=sec_gen,
-        overflow_count=n_prime,
-        primary=primary,
-        secondary=secondary,
-    )
+    return d
 
 
 query_blocked = BlockedRetrieval.query

@@ -75,17 +75,17 @@ class CompactRetrieval(Retrieval):
     def probe_count(self, key: bytes) -> int:
         return sample_conditioned(self.binom, key, self._weight_hasher)
 
+    def probes(self, key: bytes) -> tuple[int, ...]:
+        return distinct_k_set(key, self.probe_count(key), self.n, self._probe_hashers)
+
     @property
     def table_bits(self) -> int:
         return self.n * self.r
 
     def query(self, key: bytes) -> int:
-        """Stored value on construction keys; 0 when the sampled weight is out of range."""
-        kx = self.probe_count(key)
-        if not self.binom.lo <= kx <= self.binom.hi:
-            return 0
+        """Stored value on construction keys; some r-bit value for any other key."""
         acc = 0
-        for j in distinct_k_set(key, kx, self.n, self._probe_hashers):
+        for j in distinct_k_set(key, self.probe_count(key), self.n, self._probe_hashers):
             acc ^= self._entries[j]
         return acc
 
@@ -117,22 +117,15 @@ def build_compact(
     cap = default_trial_cap(n) if trial_cap is None else trial_cap
     values = [v for _, v in items]
     for trial in range(cap):
-        weight_hasher = SeededHasher(seed, fn_index(ROLE_WEIGHT, trial))
-        hashers = probe_hashers(seed, ROLE_PROBE, trial, hi)
-        rows = []
-        for key, _ in items:
-            kx = sample_conditioned(binom, key, weight_hasher)
-            rows.append(distinct_k_set(key, kx, n, hashers))
+        d = CompactRetrieval(
+            n=n, r=r, master_seed=seed, seed_index=trial, binom=binom,
+            table=np.zeros(n, dtype=np.uint64),
+        )
+        rows = [d.probes(key) for key, _ in items]
         solved = solve_xor_system(rows, values, n)
         if solved is not None:
-            return CompactRetrieval(
-                n=n,
-                r=r,
-                master_seed=seed,
-                seed_index=trial,
-                binom=binom,
-                table=solved[0],
-            )
+            d.table[:] = solved[0]
+            return d
     raise RandomnessExhausted(f"no regular square system within {cap} trials")
 
 

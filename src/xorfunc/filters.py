@@ -30,8 +30,6 @@ class BackendParams:
     eps: float = 0.10
     block_size: int = 64
     split_share: bool = False
-    trial_cap: int | None = None
-    retry_cap: int = 64
 
 
 def build_backend(pairs, r: int, seed: int, params: BackendParams):
@@ -43,11 +41,10 @@ def build_backend(pairs, r: int, seed: int, params: BackendParams):
             k=params.k,
             delta=params.delta,
             seed=seed,
-            retry_cap=params.retry_cap,
             split_share=params.split_share,
         )
     if params.kind == "compact":
-        return compact.build_compact(pairs, r=r, seed=seed, trial_cap=params.trial_cap)
+        return compact.build_compact(pairs, r=r, seed=seed)
     if params.kind == "blocked":
         return blocked.build_blocked(
             pairs,
@@ -57,7 +54,6 @@ def build_backend(pairs, r: int, seed: int, params: BackendParams):
             delta=params.delta,
             b=params.block_size,
             seed=seed,
-            retry_cap=params.retry_cap,
         )
     raise ValueError(f"unknown backend kind {params.kind!r}")
 

@@ -36,9 +36,12 @@ ROLE_SHARE_PAIR = 6  # split-and-share per-chunk pair parameters
 ROLE_SHARE_TABLE = 7  # split-and-share shared table entries
 
 
+MAX_GENERATION = 1 << 20  # generations, and slots, a function index can address
+
+
 def fn_index(role: int, generation: int = 0, slot: int = 0) -> int:
     """Compose a collision-free function index from (role, generation, slot)."""
-    if not (0 <= generation < 1 << 20 and 0 <= slot < 1 << 20):
+    if not (0 <= generation < MAX_GENERATION and 0 <= slot < MAX_GENERATION):
         raise ValueError("generation/slot out of range")
     return (role << 40) | (generation << 20) | slot
 
@@ -277,6 +280,16 @@ def _pair_is_acyclic(pair: UniversalPair, digests: Sequence[int], r_tab: int) ->
     return True
 
 
+def default_chunk_count(n: int) -> int:
+    """Chunks a split-share build of n keys uses: about 2 n^(2/3)."""
+    return max(1, math.ceil(2 * n ** (2 / 3)))
+
+
+def default_table_size(n: int) -> int:
+    """Shared-table length a split-share build of n keys uses: about 2 n^(3/4)."""
+    return max(2, math.ceil(2 * n ** (3 / 4)))
+
+
 def build_split_share(
     keys: Iterable[bytes],
     L: int,
@@ -287,59 +300,61 @@ def build_split_share(
     retry_cap: int = 256,
 ) -> SplitShareTables:
     """Split keys into small chunks and set up shared randomness for them."""
+    return split_and_share(keys, L, t, seed, num_chunks, r_tab, retry_cap)[0]
+
+
+def split_and_share(
+    keys: Iterable[bytes],
+    L: int,
+    t: int,
+    seed: int = 0,
+    num_chunks: int | None = None,
+    r_tab: int | None = None,
+    retry_cap: int = 256,
+) -> tuple[SplitShareTables, list[list[int]], list[int]]:
+    """:func:`build_split_share`, plus the positions of each chunk's keys in
+    ``keys`` and every key's digest, so a builder splits and digests once."""
     key_list = list(keys)
     n = len(key_list)
     if L < 1 or t < 2:
         raise ValueError("need L >= 1 and t >= 2")
     if num_chunks is None:
-        num_chunks = max(1, math.ceil(2 * n ** (2 / 3)))
+        num_chunks = default_chunk_count(n)
         cap = max(1, math.isqrt(n)) if n else 1
     else:
         cap = n  # explicit chunk counts waive the sqrt(n) guarantee
     if r_tab is None:
-        r_tab = max(2, math.ceil(2 * n ** (3 / 4)))
+        r_tab = default_table_size(n)
 
-    base = SeededHasher(seed, fn_index(ROLE_SHARE_BASE))
-    digests = [base.u64(k) for k in key_list]
-
-    chunks: list[list[int]] = []
-    splitter_gen = 0
     for splitter_gen in range(retry_cap):
-        h = SeededHasher(seed, fn_index(ROLE_SPLIT, splitter_gen))
-        chunks = [[] for _ in range(num_chunks)]
+        tables = SplitShareTables(
+            master_seed=seed, num_chunks=num_chunks, r_tab=r_tab, t=t,
+            splitter_generation=splitter_gen, pairs=[], tables=[], max_chunk=0,
+        )
+        chunks: list[list[int]] = [[] for _ in range(num_chunks)]
         for idx, k in enumerate(key_list):
-            chunks[h.hash_to_range(k, num_chunks)].append(idx)
-        if max((len(c) for c in chunks), default=0) <= cap:
+            chunks[tables.chunk_of(k)].append(idx)
+        tables.max_chunk = max((len(c) for c in chunks), default=0)
+        if tables.max_chunk <= cap:
             break
     else:
         raise RandomnessExhausted("could not split keys into sqrt(n)-bounded chunks")
 
-    pairs: list[UniversalPair | None] = []
+    digests = [tables.digest(k) for k in key_list]
     for ci, members in enumerate(chunks):
         if not members:
-            pairs.append(None)
+            tables.pairs.append(None)
             continue
         member_digests = [digests[i] for i in members]
         for attempt in range(retry_cap):
             pair = _draw_pair(seed, ci, attempt, r_tab)
             if _pair_is_acyclic(pair, member_digests, r_tab):
-                pairs.append(pair)
+                tables.pairs.append(pair)
                 break
         else:
             raise RandomnessExhausted(f"no acyclic pair found for chunk {ci}")
-
-    tables = SplitShareTables(
-        master_seed=seed,
-        num_chunks=num_chunks,
-        r_tab=r_tab,
-        t=t,
-        splitter_generation=splitter_gen,
-        pairs=pairs,
-        tables=[],
-        max_chunk=max((len(c) for c in chunks), default=0),
-    )
     tables.ensure_tables(L)
-    return tables
+    return tables, chunks, digests
 
 
 def split_share_eval(tables: SplitShareTables, chunk: int, j: int, key: bytes) -> int:

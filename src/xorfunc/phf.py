@@ -29,6 +29,11 @@ from .hashing import ROLE_PROBE, SeededHasher, distinct_k_set, probe_hashers
 _INF = -1
 
 
+def selector_width(k: int) -> int:
+    """Bits per selector entry: enough to name one of k probes."""
+    return max(1, math.ceil(math.log2(k)))
+
+
 def hopcroft_karp(adj: Sequence[Sequence[int]], n_right: int) -> list[int]:
     """Maximum bipartite matching; returns the matched right vertex per left (-1 if none).
 
@@ -100,6 +105,9 @@ class PerfectHash:
     def __post_init__(self) -> None:
         self._hashers = probe_hashers(self.master_seed, ROLE_PROBE, self.seed_generation, self.k)
         self._selectors = memoryview(self.lambda_table)
+
+    def probes(self, key: bytes) -> tuple[int, ...]:
+        return distinct_k_set(key, self.k, self.m, self._hashers)
 
     @property
     def table_bits(self) -> int:
@@ -187,11 +195,12 @@ def build_phf(
     if n and k > m:
         raise KTooLarge(f"k={k} exceeds range m={m}")
     threshold_warning(k, delta)
-    r_lambda = max(1, math.ceil(math.log2(k)))
-
     for gen in range(retry_cap):
-        hashers = probe_hashers(seed, ROLE_PROBE, gen, k)
-        probe_sets = [distinct_k_set(key, k, m, hashers) for key in ordered]
+        p = PerfectHash(
+            n=n, m=m, k=k, r_lambda=selector_width(k), delta=delta, master_seed=seed,
+            seed_generation=gen, lambda_table=np.zeros(m, dtype=np.uint64),
+        )
+        probe_sets = [p.probes(key) for key in ordered]
         matched = hopcroft_karp(probe_sets, m)
         if _INF in matched:
             continue
@@ -199,17 +208,9 @@ def build_phf(
         solved = solve_xor_system(probe_sets, selectors, m)
         if solved is None:
             continue
-        return PerfectHash(
-            n=n,
-            m=m,
-            k=k,
-            r_lambda=r_lambda,
-            delta=delta,
-            master_seed=seed,
-            seed_generation=gen,
-            lambda_table=solved[0],
-            pivots=tuple(sorted(matched)),
-        )
+        p.lambda_table[:] = solved[0]
+        p.pivots = tuple(sorted(matched))
+        return p
     raise RandomnessExhausted(f"no full-rank system within {retry_cap} generations")
 
 

@@ -22,7 +22,6 @@ allocates or hashes anything, so a malformed container ends as
 
 from __future__ import annotations
 
-import math
 import struct
 import zlib
 from typing import NamedTuple
@@ -33,13 +32,19 @@ from . import basic, blocked, compact, filters, phf
 from .basic import DEFAULT_RETRY_CAP, SPLIT_SHARE_T
 from .bitvector import RankBitvector
 from .errors import BadCrc, BadMagic, ContainerError, EmptySupport, UnsupportedVersion
-from .hashing import SplitShareTables, UniversalPair, build_binomial_table
+from .hashing import (
+    MAX_GENERATION,
+    SplitShareTables,
+    UniversalPair,
+    build_binomial_table,
+    default_chunk_count,
+    default_table_size,
+)
 
 MAGIC = b"SDR1"
 VERSION = 1
 
 _FIXED_HEADER = struct.Struct("<4sBBBBBQQQII")
-_MAX_GENERATION = 1 << 20  # generations the hash family can address (hashing.fn_index)
 
 
 class _Header(NamedTuple):
@@ -157,9 +162,9 @@ def _decode_basic(h: _Header, ks: bytes, bits: np.ndarray):
     chunk_size = struct.calcsize(_SPLIT_CHUNK)
     _require(len(ks) == off + num_chunks * chunk_size, "kind-specific length")
     # the builder derives these from n; checking them bounds the shared tables
-    _require(num_chunks == max(1, math.ceil(2 * h.n ** (2 / 3))), "chunk count")
-    _require(r_tab == max(2, math.ceil(2 * h.n ** (3 / 4))), "shared table size")
-    _require(t == SPLIT_SHARE_T and splitter_gen < _MAX_GENERATION, "splitter parameters")
+    _require(num_chunks == default_chunk_count(h.n), "chunk count")
+    _require(r_tab == default_table_size(h.n), "shared table size")
+    _require(t == SPLIT_SHARE_T and splitter_gen < MAX_GENERATION, "splitter parameters")
     seg_lens, gens, pairs = [], [], []
     for _ in range(num_chunks):
         seg_len, gen, a0, b0, a1, b1 = _unpack(_SPLIT_CHUNK, ks, off)
@@ -236,7 +241,7 @@ def _decode_blocked(h: _Header, ks: bytes, bits: np.ndarray):
     _require(1 <= h.k <= seg_len, f"k={h.k} probes over a segment of {seg_len}")
     _require(n_prime <= h.n, "more overflow keys than keys")
     _require(sec_len == blocked.secondary_size(n_prime), "secondary length")
-    _require(sec_gen < _MAX_GENERATION, f"secondary generation {sec_gen}")
+    _require(sec_gen < MAX_GENERATION, f"secondary generation {sec_gen}")
     _check_table(h, bits, h.m + sec_len)
     entries = _entries(bits, h.m + sec_len, h.r)
     return blocked.BlockedRetrieval(
@@ -320,7 +325,7 @@ def _perfect_hash(h: _Header, ks: bytes, bits: np.ndarray, image_bits: int) -> p
     _require(len(ks) == struct.calcsize("<d"), "kind-specific length")
     (delta,) = _unpack("<d", ks)
     _check_probes(h)
-    _require(h.r == max(1, math.ceil(math.log2(h.k))), f"selector width {h.r} for k={h.k}")
+    _require(h.r == phf.selector_width(h.k), f"selector width {h.r} for k={h.k}")
     _require(len(bits) == h.m * h.r + image_bits, "payload length does not match the table size")
     return phf.PerfectHash(
         n=h.n, m=h.m, k=h.k, r_lambda=h.r, delta=delta, master_seed=h.seed,
@@ -392,7 +397,7 @@ def deserialize(data: bytes):
         raise BadCrc("checksum mismatch")
     if not 1 <= kind <= len(KINDS):
         raise ContainerError(f"unknown kind {kind}")
-    _require(gen < _MAX_GENERATION, f"seed generation {gen}")
+    _require(gen < MAX_GENERATION, f"seed generation {gen}")
     payload = np.frombuffer(data, dtype=np.uint8, count=payload_bytes, offset=pos)
     bits = np.unpackbits(payload, count=payload_bits, bitorder="little")
     return _DECODERS[KINDS[kind - 1]](_Header(k, r, n, m, seed, gen), ks, bits)

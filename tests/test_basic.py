@@ -210,3 +210,31 @@ def test_split_share_deterministic():
     b1 = serial.serialize(build(pairs, r=8, k=3, delta=0.25, seed=9, split_share=True))
     b2 = serial.serialize(build(pairs, r=8, k=3, delta=0.25, seed=9, split_share=True))
     assert b1 == b2
+
+
+def test_split_share_build_splits_and_digests_each_key_once(monkeypatch):
+    """The build reuses the split and the digests of its shared-randomness setup.
+
+    Splitting and digesting every key a second time would cost 2n more PRF
+    calls: 27,242 instead of 23,242 at n = 2000, seed 0.
+    """
+    from collections import Counter
+
+    from xorfunc.hashing import ROLE_SHARE_BASE, ROLE_SPLIT, SeededHasher
+
+    n = 2000
+    pairs = [(b"k%d" % i, i % 256) for i in range(n)]
+    calls = Counter()
+    original = SeededHasher.u64
+
+    def counting(self, key):
+        calls[self.function_index >> 40] += 1  # the role tag
+        return original(self, key)
+
+    monkeypatch.setattr(SeededHasher, "u64", counting)
+    d = build(pairs, r=8, k=3, delta=0.25, seed=0, split_share=True)
+    monkeypatch.undo()
+    assert verify(d, pairs)
+    assert calls[ROLE_SHARE_BASE] == n
+    assert calls[ROLE_SPLIT] == n * (d.provider.splitter_generation + 1)
+    assert sum(calls.values()) == 27_242 - 2 * n
