@@ -4,19 +4,26 @@ Rows are packed little-endian into numpy uint64 words: bit j of a row lives
 in word j // 64 at bit position j % 64.
 
 :func:`peel` first takes, again and again, a column hit by a single remaining
-row; the rows that never peel form the core.  The core is packed and
-eliminated forward only (:func:`eliminate`), which leaves it in row echelon
-form, and one core routine (:func:`_solve_core`) then runs one of three
-tails on it:
+row; the rows that never peel form the core.  One core routine
+(:func:`_solve_core`) behind :func:`solve_xor_system`, :func:`system_full_rank`
+and :func:`reduce_xor_system` then runs three stages, carrying right-hand
+sides as Python ints (the values, ``1 << t`` for a reduction, none for a rank):
 
-* nothing, when only full rank is asked (:func:`system_full_rank`);
-* back-substitution of the values, last pivot first (:func:`solve_xor_system`);
-* the same back-substitution over an identity block, which records the rows
-  whose values make up each core entry (:func:`reduce_xor_system`).
+* lazy elimination (Genuzio, Ottaviano & Vigna, arXiv:1603.04330) solves the
+  rows left with one idle column and activates the heaviest idle column
+  when none is, leaving a dense system over the few active columns;
+* the dense system alone is packed, eliminated forward (:func:`eliminate`)
+  and back-substituted, each free active column carried as a unit kernel
+  vector in the bits above the values; every solved column is then its
+  row's right-hand side XOR its active part applied to that solution;
+* the kernel vectors, put in echelon form by their highest column, have as
+  highest columns exactly the columns a column-order elimination of the
+  core skips; they clear the solution there.
 
-Every table is zero off the pivot columns.  A solution with that property is
-unique, so it does not depend on how the core was eliminated.  The peeled
-columns are filled last, last peeled first.
+Every table is thus zero off the pivot columns of a column-order
+elimination.  A solution with that property is unique, so the tables and
+pivots, and the containers made from them, do not depend on how the core
+was eliminated.  The peeled columns are filled last, last peeled first.
 """
 
 from __future__ import annotations
@@ -78,48 +85,6 @@ def eliminate(arr: np.ndarray, n_cols: int) -> list[int]:
     return pivots
 
 
-def _back_substitute_core(arr: np.ndarray, wc: int, pivots: Sequence[int], nbits: int) -> list[int]:
-    """Solve the echelon rows, last pivot first: one nbits-wide entry per pivot.
-
-    The words from ``wc`` on hold each row's right-hand side.  The solution is
-    zero off the pivot columns and row t is zero left of its pivot, so entry t
-    is its right-hand side XOR the solved entries at the columns row t hits.
-    Narrow entries (values) are kept as ``nbits`` bit-planes over the columns,
-    and bit b of that XOR is the parity of ``row_t & plane_b``: nbits steps a
-    row.  Wide entries (the identity block) are XOR-ed column by column, about
-    ``len(pivots) / 4`` steps a row.
-    """
-    by_plane = 4 * nbits < len(pivots)
-    planes = [0] * nbits
-    solved_at: dict[int, int] = {}
-    done = 0  # the solved pivot columns
-    entries = [0] * len(pivots)
-    for t in range(len(pivots) - 1, -1, -1):
-        words = arr[t].tobytes()
-        row = int.from_bytes(words[: 8 * wc], "little")
-        x = int.from_bytes(words[8 * wc :], "little")
-        bit = 1 << pivots[t]
-        if by_plane:
-            for b, plane in enumerate(planes):
-                if (row & plane).bit_count() & 1:
-                    x ^= 1 << b
-            rest = x
-            while rest:
-                low = rest & -rest
-                planes[low.bit_length() - 1] |= bit
-                rest ^= low
-        else:
-            hit = row & done
-            while hit:
-                low = hit & -hit
-                x ^= solved_at[low]
-                hit ^= low
-            solved_at[bit] = x
-            done |= bit
-        entries[t] = x
-    return entries
-
-
 def peel(
     probe_rows: Sequence[Sequence[int]], n_cols: int
 ) -> tuple[list[tuple[int, int]], list[int]]:
@@ -153,30 +118,188 @@ def peel(
     return peel_order, [i for i, done in enumerate(peeled) if not done]
 
 
+def _words(ints: Sequence[int], n_words: int) -> np.ndarray:
+    """Python ints packed into a writable (len(ints), n_words) uint64 array."""
+    buf = bytearray(b"".join(x.to_bytes(8 * n_words, "little") for x in ints))
+    return np.frombuffer(buf, dtype=np.uint64).reshape(len(ints), n_words)
+
+
+def _bits(words: np.ndarray, width: int) -> np.ndarray:
+    """The low ``width`` bits of each row of packed words, as a 0/1 uint8 matrix."""
+    return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[:, :width]
+
+
+def _ints(bits: np.ndarray) -> list[int]:
+    """The rows of a 0/1 matrix as Python ints, column j at bit j."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    raw, nb = packed.tobytes(), packed.shape[1]
+    if not nb:
+        return [0] * len(bits)
+    return [int.from_bytes(raw[i : i + nb], "little") for i in range(0, len(raw), nb)]
+
+
+def _xor_products(masks: Sequence[int], vecs: Sequence[int], width: int) -> list[int]:
+    """For each mask, the XOR of ``vecs[i]`` over its set bits i (``width``-bit vecs).
+
+    A GF(2) matrix product taken as bit-plane parities: bit b of a result is
+    the parity of ``mask & plane_b``, where plane b marks the vecs with bit b set.
+    """
+    if not masks or not vecs or not width:
+        return [0] * len(masks)
+    w = words_for(len(vecs))
+    planes = _words(_ints(_bits(_words(vecs, words_for(width)), width).T), w)
+    packed = _words(masks, w)
+    out: list[int] = []
+    step = max(1, (1 << 19) // (width * w))
+    for s in range(0, len(masks), step):
+        parity = np.bitwise_xor.reduce(packed[s : s + step, None, :] & planes, axis=2)
+        out += _ints(np.bitwise_count(parity) & 1)
+    return out
+
+
+def _lazy_eliminate(
+    rows: Sequence[Sequence[int]], n_cols: int, vals: list[int]
+) -> tuple[list[tuple[int, int]], list[int], list[int], list[int]]:
+    """Lazy Gaussian elimination: solved (column, row) pairs, dense rows, active columns and parts.
+
+    Every column starts idle.  A row with one idle column is solved for it and
+    XOR-ed, active part ``act[i]`` and right-hand side ``vals[i]`` (updated in
+    place), into the other rows holding that column; a row with no idle column
+    joins the dense system.  When no row qualifies, the idle column in the
+    most rows becomes active: bit ``a`` of the active parts is ``active[a]``.
+    A row only loses idle columns, so a column's row count is fixed while it is idle.
+    """
+    idle = [set(r) for r in rows]
+    rows_of: list[list[int]] = [[] for _ in range(n_cols)]
+    for i, cols in enumerate(idle):
+        for c in cols:
+            rows_of[c].append(i)
+    heaviest = iter(sorted(range(n_cols), key=lambda c: -len(rows_of[c])))
+    is_idle = [True] * n_cols
+    act = [0] * len(rows)
+    ready = [i for i, cols in enumerate(idle) if len(cols) <= 1]
+    done = [False] * len(rows)
+    solved: list[tuple[int, int]] = []
+    dense: list[int] = []
+    active: list[int] = []
+    left = len(rows)
+    while left:
+        if not ready:
+            c = next(heaviest)
+            if is_idle[c]:
+                is_idle[c] = False
+                bit = 1 << len(active)
+                active.append(c)
+                for r in rows_of[c]:
+                    idle[r].discard(c)
+                    act[r] |= bit
+                    if len(idle[r]) <= 1:
+                        ready.append(r)
+            continue
+        i = ready.pop()
+        if done[i]:
+            continue
+        done[i] = True
+        left -= 1
+        if not idle[i]:
+            dense.append(i)
+            continue
+        c = idle[i].pop()
+        is_idle[c] = False
+        solved.append((c, i))
+        for r in rows_of[c]:
+            if r != i:
+                idle[r].discard(c)
+                act[r] ^= act[i]
+                vals[r] ^= vals[i]
+                if len(idle[r]) <= 1:
+                    ready.append(r)
+    return solved, dense, active, act
+
+
 def _solve_core(
-    probe_rows: Sequence[Sequence[int]], core: Sequence[int], rhs: np.ndarray | None, nbits: int
+    probe_rows: Sequence[Sequence[int]], core: Sequence[int], rhs: list[int] | None, nbits: int
 ) -> tuple[list[int], list[int] | None] | None:
     """The core's pivot columns and its solved entries, or None when its rows are dependent.
 
-    The tail depends on ``rhs``, one row of words per core row that rides
-    through the forward elimination: None checks the rank only (the entries
-    are None); values or an identity block are back-substituted over their low
-    ``nbits`` bits, giving one int per pivot.
+    ``rhs`` holds one right-hand side per core row below ``1 << nbits``: the
+    values, or ``1 << t`` for the identity block of a reduction.  None checks
+    the rank only, and the entries are None.
     """
     core_cols = sorted({j for i in core for j in probe_rows[i]})
-    if len(core_cols) < len(core):  # fewer columns than rows: never full rank
+    n_cols = len(core_cols)
+    if n_cols < len(core):  # fewer columns than rows: never full rank
         return None
     col_of = {j: t for t, j in enumerate(core_cols)}
-    rows = [[col_of[j] for j in probe_rows[i]] for i in core]
-    wc = words_for(len(core_cols))
-    arr = pack_probe_rows(rows, len(core_cols), 0 if rhs is None else rhs.shape[1])
-    if rhs is not None:
-        arr[:, wc:] = rhs
-    piv = eliminate(arr, len(core_cols))
-    if len(piv) < len(core):
+    vals = [0] * len(core) if rhs is None else list(rhs)
+    solved, dense, active, act = _lazy_eliminate(
+        [[col_of[j] for j in probe_rows[i]] for i in core], n_cols, vals
+    )
+
+    # the dense system over the active columns, right-hand sides riding along
+    wa = words_for(len(active))
+    shift = 64 * wa
+    arr = _words([act[i] | vals[i] << shift for i in dense], wa + ((nbits + 63) >> 6))
+    piv = eliminate(arr, len(active))
+    if len(piv) < len(dense):
         return None
-    entries = None if rhs is None else _back_substitute_core(arr, wc, piv, nbits)
-    return [core_cols[c] for c in piv], entries
+    # back-substitution, last pivot first; free column f is kernel bit nbits + f
+    free = sorted(set(range(len(active))) - set(piv))
+    width = nbits + len(free)
+    planes = np.zeros((width, wa), dtype=np.uint64)  # plane b: the entries with bit b set
+    for f, a in enumerate(free):
+        planes[nbits + f, a >> 6] |= _ONE << np.uint64(a & 63)
+    rhs_bits = _bits(arr[:, wa:], nbits)
+    for t in range(len(piv) - 1, -1, -1):
+        w = piv[t] >> 6  # row t is zero left of its pivot
+        x = np.bitwise_count(np.bitwise_xor.reduce(planes[:, w:] & arr[t, w:wa], axis=1)) & 1
+        x[:nbits] ^= rhs_bits[t]
+        planes[:, w] |= x.astype(np.uint64) << np.uint64(piv[t] & 63)
+    x_act = _ints(_bits(planes, len(active)).T)
+
+    # Kernel vectors echelon by highest column: those columns are the ones a
+    # column-order elimination skips.  Scan down from the last column until
+    # every kernel direction has one, then fix the free columns (z) so that
+    # the solution is zero there.
+    solver = dict(solved)
+    active_of = {c: a for a, c in enumerate(active)}
+    skipped: set[int] = set()
+    basis: dict[int, int] = {}
+    hi, span = n_cols, len(free)
+    while len(basis) < len(free):
+        lo = max(0, hi - span)
+        here = [c for c in range(lo, hi) if c in solver]
+        x_here = dict(zip(here, _xor_products([act[solver[c]] for c in here], x_act, width)))
+        for c in range(hi - 1, lo - 1, -1):
+            if len(basis) == len(free):
+                break
+            y = x_act[active_of[c]] if c in active_of else x_here[c] ^ vals[solver[c]]
+            while y >> nbits:
+                top = (y >> nbits).bit_length() - 1
+                if top not in basis:
+                    basis[top] = y
+                    skipped.add(c)
+                    break
+                y ^= basis[top]
+        hi, span = lo, 2 * span
+    pivots = [c for c in range(n_cols) if c not in skipped]
+    if rhs is None:
+        return [core_cols[c] for c in pivots], None
+    low_bits = (1 << nbits) - 1
+    z = []
+    for f in range(len(free)):
+        w, rest = basis[f] & low_bits, (basis[f] >> nbits) ^ (1 << f)
+        while rest:
+            low = rest & -rest
+            w ^= z[low.bit_length() - 1]
+            rest ^= low
+        z.append(w)
+    kernel = _xor_products([x >> nbits for x in x_act], z, nbits)
+    x_act = [(x & low_bits) ^ k for x, k in zip(x_act, kernel)]
+    entry = dict(zip(active, x_act))
+    x_solved = _xor_products([act[i] for _, i in solved], x_act, nbits)
+    entry.update((c, vals[i] ^ x) for (c, i), x in zip(solved, x_solved))
+    return [core_cols[c] for c in pivots], [entry[c] for c in pivots]
 
 
 def _back_substitute(
@@ -202,7 +325,7 @@ def solve_xor_system(
     """Solve one XOR equation per probe set, or None when rows are dependent.
 
     Peels forced assignments first (columns hit by a single remaining row),
-    then eliminates the residual core densely.  Exactly the rows that a full
+    then solves the residual core, lazily and then densely.  Exactly the rows that a full
     Gaussian elimination could solve are solved here; the returned table is
     zero outside the pivot columns, one pivot per row.
     """
@@ -212,9 +335,8 @@ def solve_xor_system(
     table = [0] * n_cols
     pivot_cols: list[int] = []
     if core:
-        vals = np.array([values[i] for i in core], dtype=np.uint64)
-        nbits = int(vals.max()).bit_length()
-        solved = _solve_core(probe_rows, core, vals[:, None], nbits)
+        vals = [int(values[i]) for i in core]
+        solved = _solve_core(probe_rows, core, vals, max(vals).bit_length())
         if solved is None:
             return None
         pivot_cols, entries = solved
@@ -274,20 +396,16 @@ class XorReduction:
 def reduce_xor_system(probe_rows: Sequence[Sequence[int]], n_cols: int) -> XorReduction | None:
     """Reduce the system for later solves, or None when the rows are dependent.
 
-    Peels and eliminates exactly as :func:`solve_xor_system` does, carrying an
-    identity block over the core rows in place of values.
+    Peels and eliminates exactly as :func:`solve_xor_system` does, with core
+    row t's right-hand side ``1 << t`` in place of its value.
     """
     peel_order, core = peel(probe_rows, n_cols)
     core_pivots: list[int] = []
     core_rows = np.zeros((0, len(core)), dtype=bool)
     if core:
-        identity = pack_probe_rows([[t] for t in range(len(core))], len(core))
-        solved = _solve_core(probe_rows, core, identity, len(core))
+        solved = _solve_core(probe_rows, core, [1 << t for t in range(len(core))], len(core))
         if solved is None:
             return None
         core_pivots, entries = solved
-        nbytes = (len(core) + 7) // 8
-        packed_rows = np.frombuffer(b"".join(x.to_bytes(nbytes, "little") for x in entries), np.uint8)
-        bits = np.unpackbits(packed_rows.reshape(len(entries), nbytes), axis=1, bitorder="little")
-        core_rows = bits[:, : len(core)].view(bool)
+        core_rows = _bits(_words(entries, words_for(len(core))), len(core)).view(bool)
     return XorReduction(probe_rows, n_cols, peel_order, core, core_pivots, core_rows)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_rank, random_weight_k_entries
+from xorfunc import gf2
 from xorfunc.gf2 import (
     eliminate,
     pack_probe_rows,
@@ -353,3 +354,82 @@ def test_rank_solve_and_reduction_share_pivots():
         reduction = reduce_xor_system(rows, n_cols)
         peeled = [j for _, j in reduction.peel_order]
         assert sorted(pivots) == sorted(solve_pivots) == sorted(peeled + reduction.core_pivots)
+
+
+def _pivot_columns(rows, n_cols):
+    """Pivots of a column-order elimination on int bitsets, or None when rows are dependent.
+
+    Rows are reduced by their lowest set column; the lowest columns of the
+    resulting echelon basis are the columns a column-order elimination takes.
+    """
+    basis = {}
+    for row in rows:
+        r = sum(1 << j for j in row)
+        while r:
+            low = (r & -r).bit_length() - 1
+            if low not in basis:
+                basis[low] = r
+                break
+            r ^= basis[low]
+        else:
+            return None
+    return sorted(basis)
+
+
+def _random_system(k, delta, n, seed):
+    m = math.ceil((1 + delta) * n)
+    rng = random.Random(seed)
+    while True:
+        rows = [tuple(rng.sample(range(m), k)) for _ in range(n)]
+        if _pivot_columns(rows, m) is not None:
+            return rows, m
+
+
+@pytest.mark.parametrize("k,delta", [(3, 0.10), (4, 0.035), (5, 0.02)])
+@pytest.mark.parametrize("bits", [0, 8, 64])
+def test_core_solution_is_zero_off_the_column_order_pivots(k, delta, bits):
+    rows, m = _random_system(k, delta, 1000, 67 + k)
+    rng = random.Random(bits)
+    values = [rng.getrandbits(bits) for _ in rows]
+    peel_order, core = gf2.peel(rows, m)  # peeled columns, then the core's in column order
+    pivots = sorted([j for _, j in peel_order] + _pivot_columns([rows[i] for i in core], m))
+    expected = _solve_on_columns(rows, values, pivots)
+
+    assert sorted(system_full_rank(rows, m)) == pivots
+    table, solve_pivots = solve_xor_system(rows, values, m)
+    assert sorted(solve_pivots) == pivots
+    assert table.tolist() == [expected.get(j, 0) for j in range(m)]
+    reduction = reduce_xor_system(rows, m)
+    assert len(reduction.core) > len(rows) // 2  # the lazy and dense stages both ran
+    assert reduction.solve(values).tolist() == table.tolist()
+
+
+def test_duplicated_core_row_is_dependent_everywhere():
+    rows, m = _random_system(4, 0.035, 1000, 71)
+    rows = rows + [rows[500]]
+    values = list(range(len(rows)))
+    assert system_full_rank(rows, m) is None
+    assert solve_xor_system(rows, values, m) is None
+    assert reduce_xor_system(rows, m) is None
+
+
+def test_lazy_core_leaves_a_small_dense_system(monkeypatch):
+    n, k, delta = 2000, 4, 0.035
+    m = math.ceil((1 + delta) * n)
+    rng = random.Random(53)
+    handed = []
+
+    def counting(arr, n_cols):
+        handed.append(arr.shape[0])
+        return eliminate(arr, n_cols)
+
+    monkeypatch.setattr(gf2, "eliminate", counting)
+    for _ in range(20):
+        rows = [tuple(rng.sample(range(m), k)) for _ in range(n)]
+        values = [rng.getrandbits(8) for _ in range(n)]
+        handed.clear()
+        if solve_xor_system(rows, values, m) is not None:
+            break
+    _, core = gf2.peel(rows, m)
+    assert len(core) > n // 2
+    assert sum(handed) <= 0.2 * len(core)
