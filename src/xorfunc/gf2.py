@@ -120,7 +120,7 @@ def peel(
 
 def _words(ints: Sequence[int], n_words: int) -> np.ndarray:
     """Python ints packed into a writable (len(ints), n_words) uint64 array."""
-    buf = bytearray(b"".join(x.to_bytes(8 * n_words, "little") for x in ints))
+    buf = bytearray().join(x.to_bytes(8 * n_words, "little") for x in ints)
     return np.frombuffer(buf, dtype=np.uint64).reshape(len(ints), n_words)
 
 
@@ -148,11 +148,11 @@ def _xor_products(masks: Sequence[int], vecs: Sequence[int], width: int) -> list
         return [0] * len(masks)
     w = words_for(len(vecs))
     planes = _words(_ints(_bits(_words(vecs, words_for(width)), width).T), w)
-    packed = _words(masks, w)
     out: list[int] = []
     step = max(1, (1 << 19) // (width * w))
     for s in range(0, len(masks), step):
-        parity = np.bitwise_xor.reduce(packed[s : s + step, None, :] & planes, axis=2)
+        packed = _words(masks[s : s + step], w)
+        parity = np.bitwise_xor.reduce(packed[:, None, :] & planes, axis=2)
         out += _ints(np.bitwise_count(parity) & 1)
     return out
 
@@ -257,10 +257,11 @@ def _solve_core(
         planes[:, w] |= x.astype(np.uint64) << np.uint64(piv[t] & 63)
     x_act = _ints(_bits(planes, len(active)).T)
 
-    # Kernel vectors echelon by highest column: those columns are the ones a
-    # column-order elimination skips.  Scan down from the last column until
-    # every kernel direction has one, then fix the free columns (z) so that
-    # the solution is zero there.
+    # Put the kernel in echelon form by highest column, scanning down from the
+    # last column: those highest columns are the ones a column-order
+    # elimination skips (for random cores, the last len(free)), and each
+    # basis entry says the solution is zero at one of them.  Solving those
+    # for the free columns' values z clears the solution there.
     solver = dict(solved)
     active_of = {c: a for a, c in enumerate(active)}
     skipped: set[int] = set()
