@@ -30,7 +30,7 @@ from .hashing import (
     split_and_share,
 )
 
-DEFAULT_RETRY_CAP = 64
+DEFAULT_RETRY_CAP = 64  # generations a builder tries: a safety bound, not a knob
 SPLIT_SHARE_T = 1 << 32
 
 Pair = tuple[bytes, int]
@@ -217,12 +217,11 @@ def build(
     k: int = 3,
     delta: float = 0.25,
     seed: int = 0,
-    retry_cap: int = DEFAULT_RETRY_CAP,
     split_share: bool = False,
 ) -> "RetrievalStructure | SplitShareRetrieval":
     """Construct a retrieval structure for (key, value) pairs.
 
-    m = ceil((1+delta) n).  Raises RandomnessExhausted when retry_cap
+    m = ceil((1+delta) n).  Raises RandomnessExhausted when DEFAULT_RETRY_CAP
     hash-function generations all produce a rank-deficient system.
     """
     items = normalize_pairs(pairs)
@@ -233,14 +232,14 @@ def build(
     check_values((v for _, v in items), r)
     threshold_warning(k, delta)
     if split_share:
-        return _build_split_share(items, r, k, delta, seed, retry_cap)
+        return _build_split_share(items, r, k, delta, seed)
 
     n = len(items)
     m = math.ceil((1 + delta) * n)
     if n and k > m:
         raise KTooLarge(f"k={k} exceeds table size m={m}")
     values = [v for _, v in items]
-    for gen in range(retry_cap):
+    for gen in range(DEFAULT_RETRY_CAP):
         d = RetrievalStructure(
             n=n, m=m, k=k, r=r, delta=delta, master_seed=seed, seed_generation=gen,
             table=np.zeros(m, dtype=np.uint64),
@@ -252,11 +251,11 @@ def build(
             d.table[:] = table
             d.pivots = tuple(sorted(pivots))
             return d
-    raise RandomnessExhausted(f"no full-rank system within {retry_cap} generations")
+    raise RandomnessExhausted(f"no full-rank system within {DEFAULT_RETRY_CAP} generations")
 
 
 def _build_split_share(
-    items: list[Pair], r: int, k: int, delta: float, seed: int, retry_cap: int
+    items: list[Pair], r: int, k: int, delta: float, seed: int
 ) -> SplitShareRetrieval:
     provider, chunks, digests = split_and_share(
         [key for key, _ in items], L=k, t=SPLIT_SHARE_T, seed=seed
@@ -277,7 +276,7 @@ def _build_split_share(
             continue
         seg_len = seg_lens[ci]
         values = [items[i][1] for i in members]
-        for gen in range(retry_cap):
+        for gen in range(DEFAULT_RETRY_CAP):
             provider.ensure_tables((gen + 1) * k)
             d.chunk_generations[ci] = gen
             hashers = d._chunk_hashers(ci)
@@ -287,7 +286,7 @@ def _build_split_share(
                 d.table[offsets[ci] : offsets[ci + 1]] = solved[0]
                 break
         else:
-            raise RandomnessExhausted(f"chunk {ci} failed {retry_cap} generations")
+            raise RandomnessExhausted(f"chunk {ci} failed {DEFAULT_RETRY_CAP} generations")
     return d
 
 
@@ -301,8 +300,10 @@ def verify(structure, pairs: Iterable[Pair]) -> bool:
     return structure.verify(pairs)
 
 
-def compress(d: RetrievalStructure, pivots: Sequence[int]) -> CompressedRetrieval:
+def compress(d: RetrievalStructure, pivots: Sequence[int] | None) -> CompressedRetrieval:
     """Keep only the significant entries; probes route through a rank bitvector."""
+    if pivots is None:
+        raise PivotMismatch("pivots exist only on a freshly built structure, not a loaded one")
     piv = sorted(pivots)
     if len(piv) != d.n or len(set(piv)) != d.n:
         raise PivotMismatch("expected exactly n distinct pivot columns")

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .basic import Pair, Retrieval, check_values, normalize_pairs, threshold_warning
+from .basic import DEFAULT_RETRY_CAP, Pair, Retrieval, check_values, normalize_pairs
+from .basic import threshold_warning
 from .errors import KTooLarge, RandomnessExhausted
 from .gf2 import XorReduction, reduce_xor_system, solve_xor_system
 from .gf2 import system_full_rank  # noqa: F401  perfbench/layertrace.py patches it here
@@ -126,19 +127,14 @@ def build_blocked(
     delta: float = 0.30,
     b: int = 64,
     seed: int = 0,
-    retry_cap: int = 64,
-    force_fail_blocks: Sequence[int] = (),
 ) -> BlockedRetrieval:
     """Single-pass block solves; the secondary retries until it solves.
 
     A block is attempted when its key count fits its ``segment_len`` columns;
-    it overflows to the secondary only when its rows are singular or it is
-    forced to fail.  ``b_prime`` only sizes the segment, it is no admission
-    cap.  Each block is peeled and eliminated once: the reduction made by the
-    rank check is reused to solve the block once the secondary is known.
-
-    ``force_fail_blocks`` is a test hook that marks chosen blocks as failed
-    regardless of their rank, exercising the compensation path.
+    it overflows to the secondary only when its rows are singular.
+    ``b_prime`` only sizes the segment, it is no admission cap.  Each block
+    is peeled and eliminated once: the reduction made by the rank check is
+    reused to solve the block once the secondary is known.
     """
     items = normalize_pairs(pairs)
     n = len(items)
@@ -154,7 +150,6 @@ def build_blocked(
     if k > segment_len:
         raise KTooLarge(f"k={k} exceeds segment length {segment_len}")
     m0 = math.ceil(n / b)
-    forced = set(force_fail_blocks)
 
     d = BlockedRetrieval(
         n=n, r=r, k=k, b=b, eps=eps, delta=delta, m0=m0, b_prime=b_prime,
@@ -171,7 +166,7 @@ def build_blocked(
     for bi, members in enumerate(blocks):
         reduction = None
         # more rows than segment columns can never have full rank
-        if members and len(members) <= segment_len and bi not in forced:
+        if members and len(members) <= segment_len:
             rows = [distinct_k_set(key, k, segment_len, d._primary_hashers) for key, _ in members]
             reduction = reduce_xor_system(rows, segment_len)
         if reduction is None:
@@ -181,7 +176,7 @@ def build_blocked(
     n_prime = len(overflow)
     if n_prime:
         sec_len = secondary_size(n_prime)
-        for sec_gen in range(retry_cap):
+        for sec_gen in range(DEFAULT_RETRY_CAP):
             d = replace(
                 d, secondary_generation=sec_gen, overflow_count=n_prime,
                 secondary=np.zeros(sec_len, dtype=np.uint64),
@@ -196,7 +191,7 @@ def build_blocked(
                 break
         else:
             raise RandomnessExhausted(
-                f"secondary structure failed {retry_cap} generations (n'={n_prime})"
+                f"secondary structure failed {DEFAULT_RETRY_CAP} generations (n'={n_prime})"
             )
 
     def f_prime(key: bytes) -> int:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 data error (parse, duplicate keys,
-verification mismatch, corrupt container), 3 randomness exhausted.
+Exit codes: 0 success, 1 usage error (including a parameter a command
+rejects), 2 data error (unreadable path, parse, duplicate keys, verification
+mismatch, corrupt container), 3 randomness exhausted.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import filters, phf, serial, thresholds
-from .errors import DuplicateKeys, ParseError, RandomnessExhausted, XorFuncError
+from .errors import DomainError, DuplicateKeys, ParseError, RandomnessExhausted, XorFuncError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,13 +76,10 @@ def _build_structure(args, pairs):
         params = replace(params, kind=args.kind)
         return filters.build_backend(pairs, r=args.bits, seed=args.seed, params=params)
     if args.kind == "filter":
-        return filters.build_filter(
-            keys, s=args.sig_bits, backend_kind=args.backend, params=params, seed=args.seed
-        )
+        return filters.build_filter(keys, s=args.sig_bits, params=params, seed=args.seed)
     if args.kind == "bloomier":
         return filters.build_bloomier(
-            pairs, r=args.bits, s=args.sig_bits,
-            backend_kind=args.backend, params=params, seed=args.seed,
+            pairs, r=args.bits, s=args.sig_bits, params=params, seed=args.seed
         )
     if args.kind == "phf":
         return phf.build_phf(keys, k=args.k, delta=args.delta, seed=args.seed)
@@ -131,10 +129,7 @@ def _read_structure(path: str):
 
 def _cmd_build(args) -> int:
     pairs = ingest(args.input, args.format, args.bits)
-    try:
-        structure = _build_structure(args, pairs)
-    except ValueError as exc:  # a parameter the builder rejects, such as --k 1 or --bits 0
-        raise SystemExit((EXIT_USAGE, f"xorfunc build: error: {exc}")) from exc
+    structure = _build_structure(args, pairs)
     Path(args.out).write_bytes(serial.serialize(structure))
     print(f"built kind={args.kind} n={len(pairs)} -> {args.out}")
     return EXIT_OK
@@ -169,6 +164,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.queries < 1:
+        raise ValueError("--queries must be >= 1")
     structure = _read_structure(args.structure)
     keys = [b"bench-%d" % i for i in range(args.queries)]
     start = time.perf_counter()
@@ -183,27 +180,29 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_thresholds(args) -> int:
-    print("k,beta,beta_approx,beta_inverse")
-    for k in range(args.k_min, args.k_max + 1):
-        res = thresholds.beta_k(k, args.tol)
+    results = [(k, thresholds.beta_k(k, args.tol)) for k in range(args.k_min, args.k_max + 1)]
+    print("k,beta,beta_approx,beta_inverse")  # after every k is accepted, so no partial CSV
+    for k, res in results:
         print(f"{k},{res.beta:.5f},{thresholds.beta_approx(k):.5f},{res.beta_inverse:.5f}")
     return EXIT_OK
 
 
 def _cmd_mc_rank(args) -> int:
+    if args.n < 1 or args.trials < 1 or (args.ratio is not None and args.ratio <= 0):
+        raise ValueError("need --n >= 1, --trials >= 1 and --ratio > 0")
     if args.m is not None:
         m = args.m
     elif args.ratio is not None:
         m = round(args.n / args.ratio)
     else:
-        raise ParseError("need --m or --ratio")
+        raise ValueError("need --m or --ratio")
     if args.field == "gf2":
         exp = thresholds.rank_mc_gf2(args.n, m, args.k, args.trials, args.seed)
     else:
         try:
             p = int(args.field.removeprefix("prime:"))
         except ValueError as exc:
-            raise ParseError(f"bad field spec {args.field!r}") from exc
+            raise ValueError(f"bad field spec {args.field!r}") from exc
         exp = thresholds.rank_mc_weighted(
             args.n, m, args.k, p, args.trials, args.seed, plant=args.plant
         )
@@ -308,10 +307,10 @@ def main(argv: list[str] | None = None) -> int:
     except RandomnessExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RANDOMNESS
-    except XorFuncError as exc:  # parse, duplicate-key and container errors among them
+    except (ValueError, DomainError) as exc:  # a parameter the command rejects, such as --k 1
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+        return EXIT_USAGE
+    except (XorFuncError, OSError) as exc:  # parse, duplicate-key, container and path errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -10,7 +10,7 @@ variant concatenates an r-bit payload with the signature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import basic, blocked, compact
@@ -135,52 +135,50 @@ class BloomierFilter:
 def build_filter(
     keys: Iterable[bytes],
     s: int,
-    backend_kind: str = "basic",
+    backend_kind: str | None = None,
     params: BackendParams | None = None,
     seed: int = 0,
-    signature_seed: int | None = None,
 ) -> BloomierFilter:
     """Store each key's s-bit signature in the chosen backend (a filter with r = 0)."""
     if not 0 <= s <= 64:
         raise ValueError("signature bits s must be in 0..64")
-    return _build(((key, 0) for key in keys), 0, s, backend_kind, params, seed, signature_seed)
+    return _build(((key, 0) for key in keys), 0, s, backend_kind, params, seed)
 
 
 def build_bloomier(
     pairs: Iterable[basic.Pair],
     r: int,
     s: int,
-    backend_kind: str = "basic",
+    backend_kind: str | None = None,
     params: BackendParams | None = None,
     seed: int = 0,
-    signature_seed: int | None = None,
 ) -> BloomierFilter:
     """Backend stores payload << s | signature, giving lookup plus rejection."""
     if r < 1:
         raise ValueError("payload bits r must be >= 1")
     if not 0 <= s <= 64 - r:
         raise ValueError("need r + s <= 64")
-    return _build(pairs, r, s, backend_kind, params, seed, signature_seed)
+    return _build(pairs, r, s, backend_kind, params, seed)
 
 
 def _build(
     pairs: Iterable[basic.Pair],
     r: int,
     s: int,
-    backend_kind: str,
+    backend_kind: str | None,
     params: BackendParams | None,
     seed: int,
-    signature_seed: int | None,
 ) -> BloomierFilter:
-    """The signature seed is kept disjoint from the backend seed so backend
-    contents stay independent of any non-member's signature."""
-    params = params or BackendParams(kind=backend_kind)
-    if params.kind != backend_kind:
-        params = replace(params, kind=backend_kind)
-    if signature_seed is None:
-        signature_seed = (seed ^ 0x5157_3143_9E37_79B9) & ((1 << 64) - 1)
+    """The backend is ``params.kind``; ``backend_kind`` picks it only without
+    ``params``.  The signature seed is derived from ``seed`` but differs from
+    the backend's, so backend contents stay independent of any signature."""
+    if params is None:
+        params = BackendParams(kind=backend_kind or "basic")
+    elif backend_kind is not None and backend_kind != params.kind:
+        raise ValueError(f"backend_kind {backend_kind!r} differs from params.kind {params.kind!r}")
+    signature_seed = (seed ^ 0x5157_3143_9E37_79B9) & ((1 << 64) - 1)
     f = BloomierFilter(
-        r=r, s=s, signature_seed=signature_seed, backend_kind=backend_kind, backend=None
+        r=r, s=s, signature_seed=signature_seed, backend_kind=params.kind, backend=None
     )
     stored = [(key, (value << s) | f.signature(key)) for key, value in pairs]
     if r + s:  # a membership filter with s = 0 stores nothing

@@ -41,10 +41,10 @@ def words_for(n_cols: int) -> int:
     return max(1, (n_cols + 63) >> 6)
 
 
-def pack_probe_rows(sets: Sequence[Sequence[int]], n_cols: int, extra: int = 0) -> np.ndarray:
-    """Packed matrix straight from probe index sets, plus ``extra`` zero words a row."""
+def pack_probe_rows(sets: Sequence[Sequence[int]], n_cols: int) -> np.ndarray:
+    """Packed matrix straight from probe index sets."""
     n = len(sets)
-    arr = np.zeros((n, words_for(n_cols) + extra), dtype=np.uint64)
+    arr = np.zeros((n, words_for(n_cols)), dtype=np.uint64)
     if n == 0:
         return arr
     ri = np.fromiter(

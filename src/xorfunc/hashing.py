@@ -37,6 +37,7 @@ ROLE_SHARE_TABLE = 7  # split-and-share shared table entries
 
 
 MAX_GENERATION = 1 << 20  # generations, and slots, a function index can address
+SPLIT_SHARE_ATTEMPTS = 256  # splitter generations, and pairs per chunk, a split-share build draws
 
 
 def fn_index(role: int, generation: int = 0, slot: int = 0) -> int:
@@ -297,10 +298,9 @@ def build_split_share(
     seed: int = 0,
     num_chunks: int | None = None,
     r_tab: int | None = None,
-    retry_cap: int = 256,
 ) -> SplitShareTables:
     """Split keys into small chunks and set up shared randomness for them."""
-    return split_and_share(keys, L, t, seed, num_chunks, r_tab, retry_cap)[0]
+    return split_and_share(keys, L, t, seed, num_chunks, r_tab)[0]
 
 
 def split_and_share(
@@ -310,7 +310,6 @@ def split_and_share(
     seed: int = 0,
     num_chunks: int | None = None,
     r_tab: int | None = None,
-    retry_cap: int = 256,
 ) -> tuple[SplitShareTables, list[list[int]], list[int]]:
     """:func:`build_split_share`, plus the positions of each chunk's keys in
     ``keys`` and every key's digest, so a builder splits and digests once."""
@@ -326,7 +325,7 @@ def split_and_share(
     if r_tab is None:
         r_tab = default_table_size(n)
 
-    for splitter_gen in range(retry_cap):
+    for splitter_gen in range(SPLIT_SHARE_ATTEMPTS):
         tables = SplitShareTables(
             master_seed=seed, num_chunks=num_chunks, r_tab=r_tab, t=t,
             splitter_generation=splitter_gen, pairs=[], tables=[], max_chunk=0,
@@ -346,7 +345,7 @@ def split_and_share(
             tables.pairs.append(None)
             continue
         member_digests = [digests[i] for i in members]
-        for attempt in range(retry_cap):
+        for attempt in range(SPLIT_SHARE_ATTEMPTS):
             pair = _draw_pair(seed, ci, attempt, r_tab)
             if _pair_is_acyclic(pair, member_digests, r_tab):
                 tables.pairs.append(pair)

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .basic import normalize_pairs, threshold_warning
+from .basic import DEFAULT_RETRY_CAP, normalize_pairs, threshold_warning
 from .bitvector import RankBitvector
 from .errors import KTooLarge, RandomnessExhausted
 from .gf2 import solve_xor_system
@@ -177,7 +177,6 @@ def build_phf(
     k: int = 4,
     delta: float = 0.10,
     seed: int = 0,
-    retry_cap: int = 64,
 ) -> PerfectHash:
     """Injective map from the keys into [ceil((1+delta) n)].
 
@@ -195,7 +194,7 @@ def build_phf(
     if n and k > m:
         raise KTooLarge(f"k={k} exceeds range m={m}")
     threshold_warning(k, delta)
-    for gen in range(retry_cap):
+    for gen in range(DEFAULT_RETRY_CAP):
         p = PerfectHash(
             n=n, m=m, k=k, r_lambda=selector_width(k), delta=delta, master_seed=seed,
             seed_generation=gen, lambda_table=np.zeros(m, dtype=np.uint64),
@@ -211,7 +210,7 @@ def build_phf(
         p.lambda_table[:] = solved[0]
         p.pivots = tuple(sorted(matched))
         return p
-    raise RandomnessExhausted(f"no full-rank system within {retry_cap} generations")
+    raise RandomnessExhausted(f"no full-rank system within {DEFAULT_RETRY_CAP} generations")
 
 
 eval_phf = PerfectHash.query
@@ -222,10 +221,9 @@ def build_mphf(
     k: int = 4,
     delta: float = 0.10,
     seed: int = 0,
-    retry_cap: int = 64,
 ) -> MinimalPerfectHash:
     """Perfect hash composed with rank over its image: a bijection onto [n]."""
-    base = build_phf(keys, k=k, delta=delta, seed=seed, retry_cap=retry_cap)
+    base = build_phf(keys, k=k, delta=delta, seed=seed)
     assert base.pivots is not None
     used = RankBitvector.from_indices(base.m, base.pivots)
     return MinimalPerfectHash(base=base, used=used)

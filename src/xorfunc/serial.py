@@ -34,6 +34,7 @@ from .bitvector import RankBitvector
 from .errors import BadCrc, BadMagic, ContainerError, EmptySupport, UnsupportedVersion
 from .hashing import (
     MAX_GENERATION,
+    SPLIT_SHARE_ATTEMPTS,
     SplitShareTables,
     UniversalPair,
     build_binomial_table,
@@ -164,7 +165,7 @@ def _decode_basic(h: _Header, ks: bytes, bits: np.ndarray):
     # the builder derives these from n; checking them bounds the shared tables
     _require(num_chunks == default_chunk_count(h.n), "chunk count")
     _require(r_tab == default_table_size(h.n), "shared table size")
-    _require(t == SPLIT_SHARE_T and splitter_gen < MAX_GENERATION, "splitter parameters")
+    _require(t == SPLIT_SHARE_T and splitter_gen < SPLIT_SHARE_ATTEMPTS, "splitter parameters")
     seg_lens, gens, pairs = [], [], []
     for _ in range(num_chunks):
         seg_len, gen, a0, b0, a1, b1 = _unpack(_SPLIT_CHUNK, ks, off)
@@ -241,7 +242,7 @@ def _decode_blocked(h: _Header, ks: bytes, bits: np.ndarray):
     _require(1 <= h.k <= seg_len, f"k={h.k} probes over a segment of {seg_len}")
     _require(n_prime <= h.n, "more overflow keys than keys")
     _require(sec_len == blocked.secondary_size(n_prime), "secondary length")
-    _require(sec_gen < MAX_GENERATION, f"secondary generation {sec_gen}")
+    _require(sec_gen < DEFAULT_RETRY_CAP, f"secondary generation {sec_gen}")
     _check_table(h, bits, h.m + sec_len)
     entries = _entries(bits, h.m + sec_len, h.r)
     return blocked.BlockedRetrieval(
@@ -277,9 +278,12 @@ def _backend(code: int, blob: bytes, r: int) -> tuple[str, object | None]:
     if code == 0:
         _require(not blob and r == 0, "an empty filter with a backend")
         return "none", None
-    _require(code <= 3 and len(blob) > 5 and blob[5] <= 3, "backend is not a retrieval kind")
+    _require(code <= 3 and len(blob) > 5, "backend is not a retrieval kind")
+    fallback = code == 2 and blob[5] == 1  # compact builds a basic backend for n < 16
+    _require(blob[5] == code or fallback, "backend code differs from the embedded kind")
     backend = deserialize(blob)
     _require(backend.r == r, "backend width differs from the filter's")
+    _require(not fallback or backend.n < compact.SMALL_N_CUTOFF, "basic backend coded compact")
     return KINDS[code - 1], backend
 
 

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
+from unittest import mock
+
+from xorfunc import blocked
 
 # one "[criterion NN] PASS/FAIL ..." line per acceptance criterion
 ACCEPTANCE_LINES: list[str] = []
@@ -92,3 +96,22 @@ def random_weight_k_entries(
             row[c] = 1
         rows.append(row)
     return rows
+
+
+@contextlib.contextmanager
+def failing_reductions(*calls: int):
+    """Blocked builds inside see their ``calls``-th block reductions (1-based) fail.
+
+    The other calls reduce as usual, so the chosen blocks overflow to the
+    secondary whatever their rank, exercising the compensation path.
+    """
+    real = blocked.reduce_xor_system
+    count = 0
+
+    def fake(rows, n_cols):
+        nonlocal count
+        count += 1
+        return None if count in calls else real(rows, n_cols)
+
+    with mock.patch.object(blocked, "reduce_xor_system", fake):
+        yield

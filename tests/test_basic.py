@@ -102,7 +102,7 @@ def test_warning_when_density_at_threshold():
     pairs = make_pairs(30)
     with pytest.warns(UserWarning):
         try:
-            build(pairs, r=8, k=3, delta=0.05, seed=0, retry_cap=4)
+            build(pairs, r=8, k=3, delta=0.05, seed=0)
         except RandomnessExhausted:
             pass
 
@@ -111,7 +111,7 @@ def test_randomness_exhausted_above_threshold():
     pairs = make_pairs(500)
     with pytest.warns(UserWarning):
         with pytest.raises(RandomnessExhausted):
-            build(pairs, r=8, k=3, delta=0.01, seed=0, retry_cap=8)
+            build(pairs, r=8, k=3, delta=0.01, seed=0)
 
 
 def test_determinism_and_order_insensitivity():
@@ -186,6 +186,14 @@ def test_compress_rejects_wrong_pivots():
         bad[bad.index(nonzero[0])] = outside
         with pytest.raises(PivotMismatch):
             compress(d, bad)
+
+
+def test_compress_of_loaded_structure_names_missing_pivots():
+    d = build(make_pairs(100), r=8, k=3, delta=0.4, seed=6)
+    loaded = serial.deserialize(serial.serialize(d))
+    assert loaded.pivots is None
+    with pytest.raises(PivotMismatch, match="freshly built"):
+        compress(loaded, loaded.pivots)
 
 
 def test_empty_build_round_trips():

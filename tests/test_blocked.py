@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import failing_reductions
 from xorfunc import serial
 from xorfunc.blocked import (
     BlockedRetrieval,
@@ -32,9 +33,8 @@ def test_single_block_success_degenerates_to_flat_scheme():
 
 def test_forced_block_failure_rides_the_secondary():
     pairs = make_pairs(20)
-    d = build_blocked(
-        pairs, r=8, k=3, eps=0.10, delta=0.30, b=64, seed=0, force_fail_blocks=(0,)
-    )
+    with failing_reductions(1):
+        d = build_blocked(pairs, r=8, k=3, eps=0.10, delta=0.30, b=64, seed=0)
     assert d.overflow_count == 20
     assert not d.primary.any()  # failed segment zeroed
     assert verify_blocked(d, pairs)
@@ -86,10 +86,8 @@ def test_probe_plan_shape_and_gather_equivalence():
 
 def test_failed_block_key_answered_by_secondary_term():
     pairs = make_pairs(40)
-    d = build_blocked(
-        pairs, r=8, k=3, eps=0.10, delta=0.30, b=32, seed=3,
-        force_fail_blocks=tuple(range(2)),
-    )
+    with failing_reductions(1, 2):
+        d = build_blocked(pairs, r=8, k=3, eps=0.10, delta=0.30, b=32, seed=3)
     key, value = pairs[0]
     base = d.block_of(key) * d.segment_len
     assert not d.primary[base : base + d.segment_len].any()

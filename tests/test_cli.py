@@ -355,3 +355,35 @@ def test_rejected_build_parameter_is_usage_error(tmp_path, capsys):
         args = ["build", "--kind", "basic", "--input", str(data), "--out", str(tmp_path / "x.bin")]
         assert main(args + extra) == EXIT_USAGE, extra
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["build", "--kind", "basic", "--input", "{dir}", "--out", "{dir}/x.bin"], EXIT_DATA),
+        (["build", "--kind", "basic", "--input", "{data}", "--out", "{dir}"], EXIT_DATA),
+        (["query", "--structure", "{built}", "--keys-file", "{dir}"], EXIT_DATA),
+        (["verify", "--structure", "{built}", "--input", "{dir}"], EXIT_DATA),
+        (["mc-rank", "--n", "10", "--ratio", "0"], EXIT_USAGE),
+        (["mc-rank", "--n", "10", "--ratio", "-1"], EXIT_USAGE),
+        (["mc-rank", "--n", "10", "--m", "12", "--k", "0"], EXIT_USAGE),
+        (["mc-rank", "--n", "-5", "--m", "10"], EXIT_USAGE),
+        (["mc-rank", "--n", "10", "--m", "12", "--trials", "0"], EXIT_USAGE),
+        (["mc-rank", "--n", "10"], EXIT_USAGE),
+        (["mc-rank", "--n", "10", "--m", "12", "--field", "prime:x"], EXIT_USAGE),
+        (["lower-bound", "--n", "0", "--epsilon", "0.1"], EXIT_USAGE),
+        (["bench", "--structure", "{built}", "--queries", "-5"], EXIT_USAGE),
+        (["thresholds", "--k-min", "2"], EXIT_USAGE),
+        (["thresholds", "--tol", "0"], EXIT_USAGE),
+    ],
+)
+def test_unreadable_path_or_rejected_parameter_is_one_error_line(tmp_path, capsys, argv, code):
+    data, built = tmp_path / "data.csv", tmp_path / "built.bin"
+    write_csv(data, 20)
+    assert main(["build", "--kind", "basic", "--input", str(data), "--out", str(built)]) == 0
+    capsys.readouterr()
+    paths = {"dir": tmp_path, "data": data, "built": built}
+    assert main([arg.format(**paths) for arg in argv]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -11,6 +11,7 @@ import warnings
 
 import pytest
 
+from conftest import failing_reductions
 from xorfunc import basic, blocked, compact, filters, phf, serial
 
 SIZES = (10, 700, 3000)
@@ -37,14 +38,18 @@ def _filter(backend, payload, **extra):
     return build
 
 
+def _forced_blocked(n):
+    """The first and third block reductions fail, so those blocks overflow."""
+    with failing_reductions(1, 3):
+        return blocked.build_blocked(pairs_of(n), r=8, seed=4)
+
+
 CASES = {
     "basic": lambda n: basic.build(pairs_of(n), r=8, seed=1),
     "split-share": lambda n: basic.build(pairs_of(n), r=8, seed=2, split_share=True),
     "compact": lambda n: compact.build_compact(pairs_of(n), r=8, seed=3),
     "blocked": lambda n: blocked.build_blocked(pairs_of(n), r=8, seed=4),
-    "blocked-forced": lambda n: blocked.build_blocked(
-        pairs_of(n), r=8, seed=4, force_fail_blocks=(0, 2)
-    ),
+    "blocked-forced": _forced_blocked,
     "filter-basic": _filter("basic", False),
     "filter-compact": _filter("compact", False),
     "filter-blocked": _filter("blocked", False),

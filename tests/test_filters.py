@@ -44,8 +44,8 @@ def test_false_positive_rate_near_two_to_minus_s():
 
 def test_signature_seed_changes_false_positive_set():
     keys = keys_of(500)
-    f1 = build_filter(keys, s=6, seed=4, signature_seed=1000)
-    f2 = build_filter(keys, s=6, seed=4, signature_seed=2000)
+    f1 = build_filter(keys, s=6, seed=4)
+    f2 = build_filter(keys, s=6, seed=5)
     diff = sum(
         query_filter(f1, b"x%d" % i) != query_filter(f2, b"x%d" % i) for i in range(5000)
     )
@@ -69,6 +69,25 @@ def test_split_share_backend():
         keys, s=8, params=BackendParams(kind="basic", split_share=True), seed=6
     )
     assert all(query_filter(f, k) for k in keys)
+
+
+def test_params_alone_pick_the_backend_kind():
+    keys = keys_of(300)
+    params = BackendParams(kind="blocked", block_size=32)
+    f = build_filter(keys, s=8, params=params, seed=10)
+    b = build_bloomier([(k, i % 16) for i, k in enumerate(keys)], r=4, s=8, params=params)
+    for built in (f, b):
+        assert built.backend_kind == "blocked"
+        assert built.backend.kind == "blocked"
+    assert build_filter(keys, s=8, backend_kind="compact", seed=10).backend_kind == "compact"
+
+
+def test_conflicting_backend_kind_is_rejected():
+    params = BackendParams(kind="blocked")
+    with pytest.raises(ValueError, match="differs"):
+        build_filter(keys_of(50), s=8, backend_kind="basic", params=params)
+    with pytest.raises(ValueError, match="differs"):
+        build_bloomier([(b"a", 1)], r=4, s=8, backend_kind="compact", params=params)
 
 
 def test_bloomier_members_roundtrip():

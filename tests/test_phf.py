@@ -44,7 +44,7 @@ def test_k2_instances_match_bruteforce_injectivity():
         n = rng.randint(1, 12)
         keys = [b"t%d:%d" % (trial, i) for i in range(n)]
         try:
-            p = build_phf(keys, k=2, delta=1.2, seed=trial, retry_cap=32)
+            p = build_phf(keys, k=2, delta=1.2, seed=trial)
         except RandomnessExhausted:
             continue
         built += 1

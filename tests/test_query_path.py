@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import failing_reductions
 from xorfunc import basic, blocked, compact, filters, phf, serial
 from xorfunc.blocked import probe_plan
 from xorfunc.hashing import ROLE_PROBE, SeededHasher, distinct_k_set, probe_hashers
@@ -81,7 +82,8 @@ def test_basic_views_see_in_place_edits():
 
 def test_blocked_views_see_in_place_edits():
     pairs = pairs_of(40)
-    d = blocked.build_blocked(pairs, r=8, b=64, seed=0, force_fail_blocks=(0,))
+    with failing_reductions(1):
+        d = blocked.build_blocked(pairs, r=8, b=64, seed=0)
     assert d.secondary_len  # every key rides the secondary
     key, value = pairs[0]
     plan = probe_plan(d, key)

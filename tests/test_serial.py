@@ -128,6 +128,27 @@ def test_entry_bit_packing_is_lsb_first():
     assert serial.pack_entries(__import__("numpy").array([0b101, 0b011], dtype="uint64"), 3) == b"\x1d"
 
 
+def _with_backend_code(blob, code):
+    """``blob``, a membership filter's container, relabelled to backend ``code``."""
+    body = bytearray(blob[:-4])
+    body[serial._FIXED_HEADER.size + 8] = code  # after the signature seed
+    return bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def test_filter_backend_code_must_match_the_embedded_kind():
+    keys = [k for k, _ in pairs_of(100)]
+    basic_blob = serial.serialize(filters.build_filter(keys, s=8, seed=1))
+    blocked_blob = serial.serialize(filters.build_filter(keys, s=8, backend_kind="blocked"))
+    assert serial.deserialize(_with_backend_code(basic_blob, 1)).backend_kind == "basic"
+    for blob, code in ((basic_blob, 3), (basic_blob, 2), (blocked_blob, 1), (blocked_blob, 2)):
+        with pytest.raises(ContainerError, match="backend"):
+            serial.deserialize(_with_backend_code(blob, code))
+    # below 16 keys a compact backend is stored as a basic one, and loads as compact
+    small = serial.serialize(filters.build_filter(keys[:10], s=8, backend_kind="compact"))
+    assert serial.deserialize(small).backend_kind == "compact"
+    assert serial.deserialize(_with_backend_code(small, 1)).backend_kind == "basic"
+
+
 def fuzz_containers():
     """One small container per kind, split-share and a blocked-backend Bloomier filter."""
     pairs = pairs_of(40, tag=b"fz")
