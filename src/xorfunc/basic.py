@@ -25,6 +25,7 @@ from .hashing import (
     ChunkHasher,
     SeededHasher,
     SplitShareTables,
+    distinct_k_rows,
     distinct_k_set,
     probe_hashers,
     split_and_share,
@@ -101,6 +102,10 @@ class RetrievalStructure(Retrieval):
 
     def probes(self, key: bytes) -> tuple[int, ...]:
         return distinct_k_set(key, self.k, self.m, self._hashers)
+
+    def probe_rows(self, keys: Sequence[bytes]) -> np.ndarray:
+        """:meth:`probes` of every key, as one (len(keys), k) int array."""
+        return distinct_k_rows(keys, self.k, self.m, self._hashers)
 
     @property
     def table_bits(self) -> int:
@@ -238,13 +243,16 @@ def build(
     m = math.ceil((1 + delta) * n)
     if n and k > m:
         raise KTooLarge(f"k={k} exceeds table size m={m}")
+    if n > 1 and k == m:  # every row is all ones, so no two keys are independent
+        raise KTooLarge(f"k={k} equals table size m={m}; {n} keys need m > k")
+    keys = [key for key, _ in items]
     values = [v for _, v in items]
     for gen in range(DEFAULT_RETRY_CAP):
         d = RetrievalStructure(
             n=n, m=m, k=k, r=r, delta=delta, master_seed=seed, seed_generation=gen,
             table=np.zeros(m, dtype=np.uint64),
         )
-        rows = [d.probes(key) for key, _ in items]
+        rows = d.probe_rows(keys)
         solved = solve_xor_system(rows, values, m)
         if solved is not None:
             table, pivots = solved
@@ -263,7 +271,8 @@ def _build_split_share(
     # small chunks need headroom beyond (1+delta): with seg_len == k every
     # row is the all-ones vector and two keys can never be independent
     seg_lens = [
-        max(math.ceil((1 + delta) * len(c)), len(c) + 2, k) if c else 0 for c in chunks
+        max(math.ceil((1 + delta) * len(c)), len(c) + 2, k + (len(c) > 1)) if c else 0
+        for c in chunks
     ]
     offsets = np.concatenate(([0], np.cumsum(seg_lens))).astype(np.int64)
     d = SplitShareRetrieval(

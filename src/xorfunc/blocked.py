@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .hashing import (
     ROLE_SECONDARY,
     ROLE_SPLIT,
     SeededHasher,
+    distinct_k_rows,
     distinct_k_set,
     fn_index,
     probe_hashers,
@@ -98,6 +99,18 @@ class BlockedRetrieval(Retrieval):
     def block_of(self, key: bytes) -> int:
         return self._splitter.hash_to_range(key, self.m0)
 
+    def blocks_of(self, keys: Sequence[bytes]) -> np.ndarray:
+        """:meth:`block_of` of every key, as an int array."""
+        return distinct_k_rows(keys, 1, self.m0, [self._splitter])[:, 0]
+
+    def primary_rows(self, keys: Sequence[bytes]) -> np.ndarray:
+        """Every key's k probes within its segment, as an (len(keys), k) int array."""
+        return distinct_k_rows(keys, self.k, self.segment_len, self._primary_hashers)
+
+    def secondary_rows(self, keys: Sequence[bytes]) -> np.ndarray:
+        """Every key's probes into the secondary, as an (len(keys), 3) int array."""
+        return distinct_k_rows(keys, SECONDARY_K, self.secondary_len, self._secondary_hashers)
+
     def query(self, key: bytes) -> int:
         """XOR of k probes in the key's segment and 3 probes in the secondary."""
         base = self.block_of(key) * self.segment_len
@@ -157,35 +170,41 @@ def build_blocked(
         primary=np.zeros(m0 * segment_len, dtype=np.uint64),
         secondary=np.zeros(0, dtype=np.uint64),
     )
-    blocks: list[list[Pair]] = [[] for _ in range(m0)]
-    for item in items:
-        blocks[d.block_of(item[0])].append(item)
+    keys = [key for key, _ in items]
+    values = np.array([v for _, v in items], dtype=np.uint64)
+    block = d.blocks_of(keys)
+    sizes = np.bincount(block, minlength=m0)
+    ends = np.cumsum(sizes)
+    by_block = np.argsort(block, kind="stable")  # key positions block by block, in key order
+    # more rows than segment columns can never have full rank: such blocks get no rows
+    fits = by_block[sizes[block[by_block]] <= segment_len]
+    rows = d.primary_rows([keys[i] for i in fits]).tolist()
 
-    overflow: list[Pair] = []
-    reductions: list[XorReduction | None] = []
-    for bi, members in enumerate(blocks):
+    overflow: list[int] = []
+    solved_blocks: list[tuple[int, list[int], XorReduction]] = []
+    at = 0
+    for bi, (size, end) in enumerate(zip(sizes.tolist(), ends.tolist())):
+        members = by_block[end - size : end].tolist()
         reduction = None
-        # more rows than segment columns can never have full rank
-        if members and len(members) <= segment_len:
-            rows = [distinct_k_set(key, k, segment_len, d._primary_hashers) for key, _ in members]
-            reduction = reduce_xor_system(rows, segment_len)
+        if 0 < size <= segment_len:
+            reduction = reduce_xor_system(rows[at : at + size], segment_len)
+            at += size
         if reduction is None:
             overflow.extend(members)
-        reductions.append(reduction)
+        else:
+            solved_blocks.append((bi, members, reduction))
 
     n_prime = len(overflow)
     if n_prime:
+        over_keys = [keys[i] for i in overflow]
         sec_len = secondary_size(n_prime)
         for sec_gen in range(DEFAULT_RETRY_CAP):
             d = replace(
                 d, secondary_generation=sec_gen, overflow_count=n_prime,
                 secondary=np.zeros(sec_len, dtype=np.uint64),
             )
-            rows = [
-                distinct_k_set(key, SECONDARY_K, sec_len, d._secondary_hashers)
-                for key, _ in overflow
-            ]
-            solved = solve_xor_system(rows, [v for _, v in overflow], sec_len)
+            rows = d.secondary_rows(over_keys)
+            solved = solve_xor_system(rows, values[overflow].tolist(), sec_len)
             if solved is not None:
                 d.secondary[:] = solved[0]
                 break
@@ -194,22 +213,18 @@ def build_blocked(
                 f"secondary structure failed {DEFAULT_RETRY_CAP} generations (n'={n_prime})"
             )
 
-    def f_prime(key: bytes) -> int:
-        if not n_prime:
-            return 0
-        acc = 0
-        for j in distinct_k_set(key, SECONDARY_K, d.secondary_len, d._secondary_hashers):
-            acc ^= d._secondary_entries[j]
-        return acc
-
-    for bi, members in enumerate(blocks):
-        reduction = reductions[bi]
-        if reduction is None:  # empty or failed block: segment stays all-zero
-            continue
+    # a solved block stores f XOR f', where f' is the secondary's answer
+    kept = [i for _, members, _ in solved_blocks for i in members]
+    stored = values[kept]
+    if n_prime:
+        sec = d.secondary_rows([keys[i] for i in kept])
+        stored ^= np.bitwise_xor.reduce(d.secondary[sec], axis=1)
+    stored = stored.tolist()
+    at = 0
+    for bi, members, reduction in solved_blocks:
         base = bi * segment_len
-        d.primary[base : base + segment_len] = reduction.solve(
-            [value ^ f_prime(key) for key, value in members]
-        )
+        d.primary[base : base + segment_len] = reduction.solve(stored[at : at + len(members)])
+        at += len(members)
     return d
 
 

@@ -239,7 +239,7 @@ def make_parser() -> _Parser:
     b.add_argument("--eps", type=float, default=0.10)
     b.add_argument("--block-size", type=int, default=64)
     b.add_argument("--sig-bits", type=int, default=8, help="signature bits s")
-    b.add_argument("--backend", choices=("basic", "compact", "blocked"), default="basic")
+    b.add_argument("--backend", choices=filters.BACKEND_KINDS, default="basic")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--split-share", action="store_true")
     b.add_argument("--out", required=True)

@@ -18,13 +18,14 @@ from .errors import DomainError
 from .hashing import ROLE_SIGNATURE, SeededHasher, fn_index
 
 LOG2_E = math.log2(math.e)
+BACKEND_KINDS = ("basic", "compact", "blocked")
 
 
 @dataclass(frozen=True)
 class BackendParams:
     """Knobs forwarded to the chosen retrieval backend."""
 
-    kind: str = "basic"  # basic | compact | blocked
+    kind: str = "basic"  # one of BACKEND_KINDS
     k: int = 3
     delta: float = 0.25
     eps: float = 0.10
@@ -34,6 +35,7 @@ class BackendParams:
 
 def build_backend(pairs, r: int, seed: int, params: BackendParams):
     """The retrieval structure ``params.kind`` names, built over ``pairs``."""
+    _check_kind(params.kind)
     if params.kind == "basic":
         return basic.build(
             pairs,
@@ -45,17 +47,20 @@ def build_backend(pairs, r: int, seed: int, params: BackendParams):
         )
     if params.kind == "compact":
         return compact.build_compact(pairs, r=r, seed=seed)
-    if params.kind == "blocked":
-        return blocked.build_blocked(
-            pairs,
-            r=r,
-            k=params.k,
-            eps=params.eps,
-            delta=params.delta,
-            b=params.block_size,
-            seed=seed,
-        )
-    raise ValueError(f"unknown backend kind {params.kind!r}")
+    return blocked.build_blocked(
+        pairs,
+        r=r,
+        k=params.k,
+        eps=params.eps,
+        delta=params.delta,
+        b=params.block_size,
+        seed=seed,
+    )
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in BACKEND_KINDS:
+        raise ValueError(f"unknown backend kind {kind!r}")
 
 
 @dataclass(eq=False)
@@ -71,7 +76,7 @@ class BloomierFilter:
     r: int
     s: int
     signature_seed: int
-    backend_kind: str
+    backend_kind: str  # "none" only for a membership filter with s = 0
     backend: object | None  # None only for a membership filter with s = 0
     _signer: SeededHasher = field(init=False, repr=False)
 
@@ -170,18 +175,22 @@ def _build(
     seed: int,
 ) -> BloomierFilter:
     """The backend is ``params.kind``; ``backend_kind`` picks it only without
-    ``params``.  The signature seed is derived from ``seed`` but differs from
-    the backend's, so backend contents stay independent of any signature."""
+    ``params``.  A membership filter with s = 0 stores nothing, so it has
+    backend kind "none", as its container says.  The signature seed is
+    derived from ``seed`` but differs from the backend's, so backend
+    contents stay independent of any signature."""
     if params is None:
         params = BackendParams(kind=backend_kind or "basic")
     elif backend_kind is not None and backend_kind != params.kind:
         raise ValueError(f"backend_kind {backend_kind!r} differs from params.kind {params.kind!r}")
+    _check_kind(params.kind)
     signature_seed = (seed ^ 0x5157_3143_9E37_79B9) & ((1 << 64) - 1)
     f = BloomierFilter(
-        r=r, s=s, signature_seed=signature_seed, backend_kind=params.kind, backend=None
+        r=r, s=s, signature_seed=signature_seed, backend_kind="none", backend=None
     )
     stored = [(key, (value << s) | f.signature(key)) for key, value in pairs]
-    if r + s:  # a membership filter with s = 0 stores nothing
+    if r + s:
+        f.backend_kind = params.kind
         f.backend = build_backend(stored, r=r + s, seed=seed, params=params)
     return f
 

@@ -24,12 +24,19 @@ Every table is thus zero off the pivot columns of a column-order
 elimination.  A solution with that property is unique, so the tables and
 pivots, and the containers made from them, do not depend on how the core
 was eliminated.  The peeled columns are filled last, last peeled first.
+
+Peeling takes columns first in, first out.  A system of
+``LAYERED_PEEL_ROWS`` rows or more, such as an (n, k) int array of probe
+rows, is peeled one layer of that queue per numpy pass and back-substituted
+one layer per gather-XOR, with the same peel order and table as the
+column-at-a-time pass that smaller systems run.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -85,15 +92,70 @@ def eliminate(arr: np.ndarray, n_cols: int) -> list[int]:
     return pivots
 
 
+LAYERED_PEEL_ROWS = 1024  # systems this large peel and back-substitute layer by layer
+
+
+@dataclass(frozen=True, eq=False)
+class PeelOrder:
+    """Peeled ``(row, column)`` pairs in peel order, grouped in layers.
+
+    Layer ``L`` is ``rows[bounds[L]:bounds[L + 1]]``: the rows peeled off
+    the columns that the previous layer's removal left with a single row.
+    Rows of one layer never hold each other's peeled columns.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    bounds: list[int]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return zip(self.rows.tolist(), self.cols.tolist())
+
+
+def _lists(probe_rows) -> Sequence[Sequence[int]]:
+    """The rows as Python sequences of ints; an int array becomes nested lists."""
+    return probe_rows.tolist() if isinstance(probe_rows, np.ndarray) else probe_rows
+
+
+def _flat(probe_rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows as one flat column array with each row's start and length."""
+    if isinstance(probe_rows, np.ndarray):
+        n, k = probe_rows.shape
+        return probe_rows.ravel(), np.arange(0, n * k, k), np.full(n, k)
+    lens = np.fromiter(map(len, probe_rows), dtype=np.int64, count=len(probe_rows))
+    flat = np.fromiter(chain.from_iterable(probe_rows), dtype=np.int64, count=int(lens.sum()))
+    return flat, np.cumsum(lens) - lens, lens
+
+
+def _gather(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Flat positions of the rows with these starts and lengths, row after row."""
+    before = np.cumsum(lens) - lens
+    return np.repeat(starts - before, lens) + np.arange(int(lens.sum()))
+
+
 def peel(
-    probe_rows: Sequence[Sequence[int]], n_cols: int
-) -> tuple[list[tuple[int, int]], list[int]]:
+    probe_rows: Sequence[Sequence[int]] | np.ndarray, n_cols: int
+) -> tuple[PeelOrder, list[int]]:
     """Peel forced assignments: ``(row, column)`` pairs in peel order, then the core.
 
     A column hit by a single remaining row fixes that row's equation; removing
     the row may leave further such columns.  The rows that never peel form
-    the core, which only dense elimination can solve.
+    the core, which only dense elimination can solve.  Columns are taken
+    first in, first out; systems of ``LAYERED_PEEL_ROWS`` rows or more peel
+    a whole layer of that queue per numpy pass, in the same order.
     """
+    if len(probe_rows) >= LAYERED_PEEL_ROWS:
+        return _peel_layers(probe_rows, n_cols)
+    return _peel_queue(_lists(probe_rows), n_cols)
+
+
+def _peel_queue(
+    probe_rows: Sequence[Sequence[int]], n_cols: int
+) -> tuple[PeelOrder, list[int]]:
+    """:func:`peel` one column at a time, from a queue."""
     deg = [0] * n_cols
     cxor = [0] * n_cols
     for i, row in enumerate(probe_rows):
@@ -101,21 +163,76 @@ def peel(
             deg[j] += 1
             cxor[j] ^= i
     queue = deque(j for j in range(n_cols) if deg[j] == 1)
-    peel_order: list[tuple[int, int]] = []
+    rows: list[int] = []
+    cols: list[int] = []
+    bounds = [0]
+    layer_end = len(queue)  # pops until the queue holds just the next layer
     peeled = [False] * len(probe_rows)
     while queue:
         j = queue.popleft()
-        if deg[j] != 1:
-            continue
-        i = cxor[j]
-        peeled[i] = True
-        peel_order.append((i, j))
-        for j2 in probe_rows[i]:
-            deg[j2] -= 1
-            cxor[j2] ^= i
-            if deg[j2] == 1:
-                queue.append(j2)
-    return peel_order, [i for i, done in enumerate(peeled) if not done]
+        layer_end -= 1
+        if deg[j] == 1:
+            i = cxor[j]
+            peeled[i] = True
+            rows.append(i)
+            cols.append(j)
+            for j2 in probe_rows[i]:
+                deg[j2] -= 1
+                cxor[j2] ^= i
+                if deg[j2] == 1:
+                    queue.append(j2)
+        if not layer_end:
+            if len(rows) > bounds[-1]:
+                bounds.append(len(rows))
+            layer_end = len(queue)
+    order = PeelOrder(np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), bounds)
+    return order, [i for i, done in enumerate(peeled) if not done]
+
+
+def _peel_layers(probe_rows, n_cols: int) -> tuple[PeelOrder, list[int]]:
+    """:func:`peel` one queue layer per numpy pass.
+
+    Within a layer a row is peeled by the first queued column (in queue
+    order) whose single row it is.  The next layer is the columns whose
+    degree then reaches 1, in the order the queue pass decrements them:
+    each at its last entry among the layer's rows.
+    """
+    flat, starts, lens = _flat(probe_rows)
+    n = len(lens)
+    deg = np.bincount(flat, minlength=n_cols)
+    cxor = np.zeros(n_cols, dtype=np.int64)  # XOR of the remaining rows on each column
+    np.bitwise_xor.at(cxor, flat, np.repeat(np.arange(n), lens))
+    unset = len(flat) + 1  # above any queue position
+    first = np.full(n, unset)  # scratch, per row: its first live column's queue position
+    last = np.full(n_cols, -1)  # scratch, per column: its last entry in the layer
+    frontier = np.flatnonzero(deg == 1)
+    rows, cols, bounds = [], [], [0]
+    while frontier.size:
+        live = frontier[deg[frontier] == 1]
+        owner = cxor[live]
+        at = np.arange(len(live))
+        np.minimum.at(first, owner, at)
+        taken = first[owner] == at
+        first[owner] = unset
+        layer = owner[taken]
+        if not layer.size:
+            break
+        rows.append(layer)
+        cols.append(live[taken])
+        bounds.append(bounds[-1] + len(layer))
+        entries = _gather(starts[layer], lens[layer])  # in queue-pass order
+        ecols = flat[entries]
+        at = np.arange(len(ecols))
+        np.maximum.at(last, ecols, at)
+        ends = last[ecols] == at
+        last[ecols] = -1
+        np.subtract.at(deg, ecols, 1)
+        np.bitwise_xor.at(cxor, ecols, np.repeat(layer, lens[layer]))
+        frontier = ecols[ends & (deg[ecols] == 1)]
+    peeled = np.zeros(n, dtype=bool)
+    order = PeelOrder(*(np.concatenate(x or [flat[:0]]) for x in (rows, cols)), bounds)
+    peeled[order.rows] = True
+    return order, np.flatnonzero(~peeled).tolist()
 
 
 def _words(ints: Sequence[int], n_words: int) -> np.ndarray:
@@ -218,7 +335,7 @@ def _lazy_eliminate(
 
 
 def _solve_core(
-    probe_rows: Sequence[Sequence[int]], core: Sequence[int], rhs: list[int] | None, nbits: int
+    core: Sequence[Sequence[int]], rhs: list[int] | None, nbits: int
 ) -> tuple[list[int], list[int] | None] | None:
     """The core's pivot columns and its solved entries, or None when its rows are dependent.
 
@@ -226,14 +343,14 @@ def _solve_core(
     values, or ``1 << t`` for the identity block of a reduction.  None checks
     the rank only, and the entries are None.
     """
-    core_cols = sorted({j for i in core for j in probe_rows[i]})
+    core_cols = sorted({j for row in core for j in row})
     n_cols = len(core_cols)
     if n_cols < len(core):  # fewer columns than rows: never full rank
         return None
     col_of = {j: t for t, j in enumerate(core_cols)}
     vals = [0] * len(core) if rhs is None else list(rhs)
     solved, dense, active, act = _lazy_eliminate(
-        [[col_of[j] for j in probe_rows[i]] for i in core], n_cols, vals
+        [[col_of[j] for j in row] for row in core], n_cols, vals
     )
 
     # the dense system over the active columns, right-hand sides riding along
@@ -303,23 +420,43 @@ def _solve_core(
     return [core_cols[c] for c in pivots], [entry[c] for c in pivots]
 
 
-def _back_substitute(
-    probe_rows: Sequence[Sequence[int]],
-    values: Sequence[int],
-    peel_order: Sequence[tuple[int, int]],
-    table: list[int],
-) -> None:
-    """Fill the peeled columns, last peeled first, once the core columns are set."""
-    for i, j in reversed(peel_order):
-        acc = int(values[i])
-        for j2 in probe_rows[i]:
-            if j2 != j:
-                acc ^= table[j2]
-        table[j] = acc
+def _core_rows(probe_rows, core: list[int]) -> list[Sequence[int]]:
+    """The core's rows, as Python sequences of ints."""
+    if isinstance(probe_rows, np.ndarray):
+        return probe_rows[core].tolist()
+    return [probe_rows[i] for i in core]
+
+
+def _back_substitute(probe_rows, values, peel_order: PeelOrder, table: list[int]) -> np.ndarray:
+    """Fill the peeled columns, last peeled first, once the core columns are set.
+
+    Systems of ``LAYERED_PEEL_ROWS`` rows or more fill one peeling layer per
+    gather-XOR, last layer first: a layer's rows read only columns of later
+    layers and the core.
+    """
+    if len(probe_rows) < LAYERED_PEEL_ROWS:
+        probe_rows = _lists(probe_rows)
+        for i, j in zip(reversed(peel_order.rows.tolist()), reversed(peel_order.cols.tolist())):
+            acc = int(values[i])
+            for j2 in probe_rows[i]:
+                if j2 != j:
+                    acc ^= table[j2]
+            table[j] = acc
+        return np.array(table, dtype=np.uint64)
+    flat, starts, lens = _flat(probe_rows)
+    values = np.asarray(values, dtype=np.uint64)
+    out = np.array(table, dtype=np.uint64)  # zero on every peeled column
+    bounds = peel_order.bounds
+    for lo, hi in zip(reversed(bounds[:-1]), reversed(bounds[1:])):
+        rows = peel_order.rows[lo:hi]
+        entries = out[flat[_gather(starts[rows], lens[rows])]]
+        acc = np.bitwise_xor.reduceat(entries, np.cumsum(lens[rows]) - lens[rows])
+        out[peel_order.cols[lo:hi]] = values[rows] ^ acc
+    return out
 
 
 def solve_xor_system(
-    probe_rows: Sequence[Sequence[int]],
+    probe_rows: Sequence[Sequence[int]] | np.ndarray,
     values: Sequence[int],
     n_cols: int,
 ) -> tuple[np.ndarray, list[int]] | None:
@@ -328,24 +465,24 @@ def solve_xor_system(
     Peels forced assignments first (columns hit by a single remaining row),
     then solves the residual core, lazily and then densely.  Exactly the rows that a full
     Gaussian elimination could solve are solved here; the returned table is
-    zero outside the pivot columns, one pivot per row.
+    zero outside the pivot columns, one pivot per row.  The probe sets may
+    be an (n, k) int array.
     """
-    if not probe_rows:
+    if not len(probe_rows):
         return np.zeros(n_cols, dtype=np.uint64), []
     peel_order, core = peel(probe_rows, n_cols)
     table = [0] * n_cols
     pivot_cols: list[int] = []
     if core:
         vals = [int(values[i]) for i in core]
-        solved = _solve_core(probe_rows, core, vals, max(vals).bit_length())
+        solved = _solve_core(_core_rows(probe_rows, core), vals, max(vals).bit_length())
         if solved is None:
             return None
         pivot_cols, entries = solved
         for col, val in zip(pivot_cols, entries):
             table[col] = val
-    _back_substitute(probe_rows, values, peel_order, table)
-    pivot_cols.extend(j for _, j in reversed(peel_order))
-    return np.array(table, dtype=np.uint64), pivot_cols
+    pivot_cols += peel_order.cols[::-1].tolist()
+    return _back_substitute(probe_rows, values, peel_order, table), pivot_cols
 
 
 def system_full_rank(probe_rows: Sequence[Sequence[int]], n_cols: int) -> list[int] | None:
@@ -353,12 +490,12 @@ def system_full_rank(probe_rows: Sequence[Sequence[int]], n_cols: int) -> list[i
 
     Same peel + dense-core route as the solver, without carrying values.
     """
-    if not probe_rows:
+    if not len(probe_rows):
         return []
     peel_order, core = peel(probe_rows, n_cols)
-    pivot_cols = [j for _, j in peel_order]
+    pivot_cols = peel_order.cols.tolist()
     if core:
-        solved = _solve_core(probe_rows, core, None, 0)
+        solved = _solve_core(_core_rows(probe_rows, core), None, 0)
         if solved is None:
             return None
         pivot_cols.extend(solved[0])
@@ -377,7 +514,7 @@ class XorReduction:
 
     probe_rows: Sequence[Sequence[int]]
     n_cols: int
-    peel_order: list[tuple[int, int]]
+    peel_order: PeelOrder
     core: list[int]
     core_pivots: list[int]
     core_rows: np.ndarray  # bool, (len(core_pivots), len(core))
@@ -390,8 +527,7 @@ class XorReduction:
             entries = np.bitwise_xor.reduce(np.where(self.core_rows, vals, 0), axis=1)
             for col, val in zip(self.core_pivots, entries.tolist()):
                 table[col] = val
-        _back_substitute(self.probe_rows, values, self.peel_order, table)
-        return np.array(table, dtype=np.uint64)
+        return _back_substitute(self.probe_rows, values, self.peel_order, table)
 
 
 def reduce_xor_system(probe_rows: Sequence[Sequence[int]], n_cols: int) -> XorReduction | None:
@@ -404,7 +540,9 @@ def reduce_xor_system(probe_rows: Sequence[Sequence[int]], n_cols: int) -> XorRe
     core_pivots: list[int] = []
     core_rows = np.zeros((0, len(core)), dtype=bool)
     if core:
-        solved = _solve_core(probe_rows, core, [1 << t for t in range(len(core))], len(core))
+        solved = _solve_core(
+            _core_rows(probe_rows, core), [1 << t for t in range(len(core))], len(core)
+        )
         if solved is None:
             return None
         core_pivots, entries = solved

@@ -96,6 +96,38 @@ def distinct_k_set(key: bytes | int, k: int, m: int, hashers: Sequence) -> tuple
     return tuple(out)
 
 
+def distinct_k_rows(keys: Sequence[bytes], k: int, m: int, hashers: Sequence) -> np.ndarray:
+    """:func:`distinct_k_set` of every key at once, as an (len(keys), k) int64 array.
+
+    Each hasher makes one pass over the keys through ``SeededHasher.u64``;
+    the swap-to-the-back shuffle then runs on whole columns, replaying the
+    displaced-value writes of earlier steps in order so the last write wins.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n = len(keys)
+    out = np.empty((n, k), dtype=np.int64)
+    if not n:
+        return out
+    if k > m:
+        raise KTooLarge(f"k={k} exceeds range m={m}")
+    moved_from = np.empty((n, k), dtype=np.int64)  # step t displaced position moved_from[:, t]
+    moved_to = np.empty((n, k), dtype=np.int64)  # ... and left moved_to[:, t] there
+    for step in range(k):
+        u64 = hashers[step].u64
+        words = np.fromiter((u64(key) for key in keys), dtype=np.uint64, count=n)
+        g = (words % np.uint64(m - step)).astype(np.int64)
+        got = g
+        top = np.full(n, m - 1 - step, dtype=np.int64)
+        for t in range(step):
+            got = np.where(moved_from[:, t] == g, moved_to[:, t], got)
+            top = np.where(moved_from[:, t] == m - 1 - step, moved_to[:, t], top)
+        out[:, step] = got
+        moved_from[:, step] = g
+        moved_to[:, step] = top
+    return out
+
+
 # ---------------------------------------------------------------------------
 # conditioned binomial sampling
 

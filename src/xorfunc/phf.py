@@ -24,7 +24,7 @@ from .bitvector import RankBitvector
 from .errors import KTooLarge, RandomnessExhausted
 from .gf2 import solve_xor_system
 from .gf2 import system_full_rank  # noqa: F401  perfbench/layertrace.py patches it here
-from .hashing import ROLE_PROBE, SeededHasher, distinct_k_set, probe_hashers
+from .hashing import ROLE_PROBE, SeededHasher, distinct_k_rows, distinct_k_set, probe_hashers
 
 _INF = -1
 
@@ -108,6 +108,10 @@ class PerfectHash:
 
     def probes(self, key: bytes) -> tuple[int, ...]:
         return distinct_k_set(key, self.k, self.m, self._hashers)
+
+    def probe_rows(self, keys: Sequence[bytes]) -> np.ndarray:
+        """:meth:`probes` of every key, as one (len(keys), k) int array."""
+        return distinct_k_rows(keys, self.k, self.m, self._hashers)
 
     @property
     def table_bits(self) -> int:
@@ -199,12 +203,13 @@ def build_phf(
             n=n, m=m, k=k, r_lambda=selector_width(k), delta=delta, master_seed=seed,
             seed_generation=gen, lambda_table=np.zeros(m, dtype=np.uint64),
         )
-        probe_sets = [p.probes(key) for key in ordered]
+        rows = p.probe_rows(ordered)
+        probe_sets = rows.tolist()
         matched = hopcroft_karp(probe_sets, m)
         if _INF in matched:
             continue
         selectors = [row.index(col) for row, col in zip(probe_sets, matched)]
-        solved = solve_xor_system(probe_sets, selectors, m)
+        solved = solve_xor_system(rows, selectors, m)
         if solved is None:
             continue
         p.lambda_table[:] = solved[0]

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -91,6 +92,14 @@ def test_build_rejects_duplicates():
 def test_build_k_exceeding_table():
     with pytest.raises(KTooLarge):
         build([(b"a", 1)], r=8, k=3, delta=0.25)
+
+
+@pytest.mark.parametrize("n,k", [(2, 3), (3, 4), (4, 5)])
+def test_build_with_table_as_wide_as_k_is_rejected(n, k):
+    """m = k makes every row all ones, so two keys can never be solved."""
+    assert math.ceil(1.25 * n) == k
+    with pytest.raises(KTooLarge):
+        build(make_pairs(n), r=8, k=k, delta=0.25)
 
 
 def test_build_value_out_of_range():
@@ -246,3 +255,20 @@ def test_split_share_build_splits_and_digests_each_key_once(monkeypatch):
     assert calls[ROLE_SHARE_BASE] == n
     assert calls[ROLE_SPLIT] == n * (d.provider.splitter_generation + 1)
     assert sum(calls.values()) == 27_242 - 2 * n
+
+
+@pytest.mark.parametrize("k", [4, 5])
+@pytest.mark.parametrize("n", [10, 1000])
+def test_split_share_builds_at_larger_k(n, k):
+    """Two-key chunks get k + 1 columns, so their rows are not both all ones."""
+    pairs = make_pairs(n)
+    d = build(pairs, r=8, k=k, split_share=True, seed=n)
+    assert d.k == k and d.verify(pairs)
+    assert serial.deserialize(serial.serialize(d)).verify(pairs)
+
+
+def test_probe_rows_are_the_probes_of_each_key():
+    pairs = make_pairs(300)
+    d = build(pairs, r=8, k=4, seed=3)
+    keys = [key for key, _ in pairs] + [b"", b"z" * 200]
+    assert d.probe_rows(keys).tolist() == [list(d.probes(key)) for key in keys]

@@ -144,3 +144,17 @@ def test_roundtrip_preserves_answers():
     d2 = serial.deserialize(blob)
     assert verify_blocked(d2, pairs)
     assert serial.serialize(d2) == blob
+
+
+def test_batch_rows_are_the_per_key_probes():
+    pairs = make_pairs(2000)
+    d = build_blocked(pairs, r=8, k=3, eps=0.10, delta=0.30, b=32, seed=5)
+    assert d.secondary_len
+    keys = [key for key, _ in pairs] + [b"", b"q" * 150]
+    assert d.blocks_of(keys).tolist() == [d.block_of(key) for key in keys]
+    assert d.primary_rows(keys).tolist() == [
+        list(distinct_k_set(key, d.k, d.segment_len, d._primary_hashers)) for key in keys
+    ]
+    assert d.secondary_rows(keys).tolist() == [
+        list(distinct_k_set(key, 3, d.secondary_len, d._secondary_hashers)) for key in keys
+    ]

@@ -182,6 +182,15 @@ def test_verification_mismatch_is_data_error(tmp_path):
     assert main(["verify", "--structure", str(out), "--input", str(wrong)]) == EXIT_DATA
 
 
+def test_table_as_wide_as_k_is_data_error(tmp_path, capsys):
+    """Two keys at the default k = 3, delta = 0.25 give m = 3: rejected, not retried."""
+    data = tmp_path / "two.csv"
+    write_csv(data, 2)
+    rc = main(["build", "--kind", "basic", "--input", str(data), "--out", str(tmp_path / "x.bin")])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err.startswith("error: k=3 equals table size m=3")
+
+
 def test_split_share_flag(tmp_path):
     data = tmp_path / "data.csv"
     out = tmp_path / "d.bin"

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from xorfunc import serial
 from xorfunc.errors import DomainError
 from xorfunc.filters import (
     BackendParams,
@@ -25,6 +26,21 @@ def test_zero_signature_bits_accepts_everything():
     f = build_filter(keys_of(100), s=0, seed=1)
     assert query_filter(f, b"member or not")
     assert query_filter(f, b"fk0")
+
+
+@pytest.mark.parametrize("kind", ["basic", "compact", "blocked"])
+def test_zero_signature_filter_reports_one_backend_line_fresh_or_reloaded(kind):
+    f = build_filter(keys_of(100), s=0, params=BackendParams(kind=kind), seed=1)
+    loaded = serial.deserialize(serial.serialize(f))
+    assert f.stats() == loaded.stats()
+    assert [line for line in f.stats() if line.startswith("backend:")] == ["backend: none"]
+
+
+def test_zero_signature_filter_rejects_unknown_backend_kind():
+    with pytest.raises(ValueError, match="unknown backend kind"):
+        build_filter(keys_of(10), s=0, params=BackendParams(kind="nope"))
+    with pytest.raises(ValueError, match="unknown backend kind"):
+        build_filter(keys_of(10), s=0, backend_kind="nope")
 
 
 def test_no_false_negatives():

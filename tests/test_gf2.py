@@ -433,3 +433,71 @@ def test_lazy_core_leaves_a_small_dense_system(monkeypatch):
     _, core = gf2.peel(rows, m)
     assert len(core) > n // 2
     assert sum(handed) <= 0.2 * len(core)
+
+
+def _k_sets(k, n, m, seed):
+    """n random sets of k distinct columns in [m], as an (n, k) int array."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, m, (n, k))
+    while True:
+        repeated = (np.diff(np.sort(rows, axis=1), axis=1) == 0).any(axis=1)
+        if not repeated.any():
+            return rows
+        rows[repeated] = rng.integers(0, m, (int(repeated.sum()), k))
+
+
+# table widths m / n per (k, has_core): without a core every row peels; with
+# one, most rows stay in a core that still has full rank
+WIDTH = {
+    (3, False): 1.35, (4, False): 1.40, (5, False): 1.55,
+    (3, True): 1.10, (4, True): 1.04, (5, True): 1.03,
+}
+
+
+@pytest.mark.parametrize("n", [1000, 5000, 50000])
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("has_core", [False, True], ids=["peels", "core"])
+def test_layered_peel_matches_the_queue(n, k, has_core):
+    m = math.ceil(WIDTH[k, has_core] * n)
+    rows = _k_sets(k, n, m, seed=n + k)
+    queue_order, queue_core = gf2._peel_queue(rows.tolist(), m)
+    assert (len(queue_core) > n // 4) == has_core
+    for given in (rows, rows.tolist()):
+        order, core = gf2._peel_layers(given, m)
+        assert core == queue_core
+        assert order.rows.tolist() == queue_order.rows.tolist()
+        assert order.cols.tolist() == queue_order.cols.tolist()
+        assert order.bounds == queue_order.bounds
+    assert list(order) == list(zip(order.rows.tolist(), order.cols.tolist()))
+    pivot = np.zeros(m, dtype=bool)
+    for lo, hi in zip(order.bounds, order.bounds[1:]):  # a row holds one pivot of its layer
+        pivot[order.cols[lo:hi]] = True
+        assert (pivot[rows[order.rows[lo:hi]]].sum(axis=1) == 1).all()
+        pivot[order.cols[lo:hi]] = False
+
+
+@pytest.mark.parametrize("n,k,has_core", [
+    (2000, 3, False), (20000, 4, False), (50000, 5, False),
+    (1500, 3, True), (3000, 4, True), (3000, 5, True),
+])
+def test_layered_solver_matches_the_queue(n, k, has_core, monkeypatch):
+    m = math.ceil(WIDTH[k, has_core] * n)
+    rows = _k_sets(k, n, m, seed=7 * n + k)
+    values = np.random.default_rng(n).integers(0, 1 << 63, n).tolist()
+    assert len(rows) >= gf2.LAYERED_PEEL_ROWS
+
+    def run(given):
+        solved = solve_xor_system(given, values, m)
+        reduction = reduce_xor_system(given, m)
+        return (
+            solved[0].tolist(), solved[1], system_full_rank(given, m),
+            reduction.solve(values).tolist(), reduction.core_pivots,
+        )
+
+    layered = run(rows)
+    assert run(rows.tolist()) == layered
+    monkeypatch.setattr(gf2, "LAYERED_PEEL_ROWS", len(rows) + 1)
+    assert run(rows.tolist()) == layered
+    table, pivots = layered[:2]
+    assert all(xor_of(table, row) == v for row, v in zip(rows.tolist(), values))
+    assert sorted(pivots) == sorted(set(pivots)) and len(pivots) == n

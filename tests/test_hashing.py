@@ -16,6 +16,7 @@ from xorfunc.hashing import (
     SeededHasher,
     build_binomial_table,
     build_split_share,
+    distinct_k_rows,
     distinct_k_set,
     fn_index,
     probe_hashers,
@@ -296,3 +297,39 @@ def test_split_share_pair_redraw_uniformity_on_coordinates():
     for slot in range(2):
         stat = sum((c - 625.0) ** 2 / 625.0 for c in counts[slot])
         assert stat < CHI2_999[15]
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_batch_rows_equal_distinct_k_set(k):
+    """One row per key, equal to its probe set, including keys where later
+    steps draw a position an earlier step displaced (small m)."""
+    keys = [b"", b"\x00", b"x" * 129, b"y" * 300, *(b"bk%d" % i for i in range(400))]
+    for m in (k, k + 1, k + 2, 1000):
+        hashers = probe_hashers(77 + m, ROLE_PROBE, 3, k)
+        rows = distinct_k_rows(keys, k, m, hashers)
+        assert rows.shape == (len(keys), k)
+        assert rows.tolist() == [list(distinct_k_set(key, k, m, hashers)) for key in keys]
+
+
+def test_batch_rows_check_k_against_m():
+    hashers = probe_hashers(1, ROLE_PROBE, 0, 4)
+    assert distinct_k_rows([], 4, 0, hashers).shape == (0, 4)
+    with pytest.raises(KTooLarge):
+        distinct_k_rows([b"a"], 4, 3, hashers)
+    with pytest.raises(ValueError):
+        distinct_k_rows([b"a"], 0, 3, hashers)
+
+
+def test_batch_rows_hash_through_u64(monkeypatch):
+    """Every word comes from ``SeededHasher.u64``: k calls per key, as key by key."""
+    calls = []
+    real = SeededHasher.u64
+
+    def counted(self, key):
+        calls.append(key)
+        return real(self, key)
+
+    monkeypatch.setattr(SeededHasher, "u64", counted)
+    keys = [b"c%d" % i for i in range(50)]
+    distinct_k_rows(keys, 3, 90, probe_hashers(5, ROLE_PROBE, 0, 3))
+    assert sorted(calls) == sorted(keys * 3)

@@ -144,3 +144,10 @@ def test_hopcroft_karp_long_augmenting_path(monkeypatch):
 
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
     assert hopcroft_karp(adj, n) == list(range(n))
+
+
+def test_probe_rows_are_the_probes_of_each_key():
+    keys = keys_of(500)
+    p = build_phf(keys, k=4, delta=0.10, seed=2)
+    probe = keys + [b"", b"w" * 129]
+    assert p.probe_rows(probe).tolist() == [list(p.probes(key)) for key in probe]
