@@ -178,7 +178,7 @@ def build_blocked(
     by_block = np.argsort(block, kind="stable")  # key positions block by block, in key order
     # more rows than segment columns can never have full rank: such blocks get no rows
     fits = by_block[sizes[block[by_block]] <= segment_len]
-    rows = d.primary_rows([keys[i] for i in fits]).tolist()
+    rows = d.primary_rows([keys[i] for i in fits])
 
     overflow: list[int] = []
     solved_blocks: list[tuple[int, list[int], XorReduction]] = []
@@ -213,18 +213,13 @@ def build_blocked(
                 f"secondary structure failed {DEFAULT_RETRY_CAP} generations (n'={n_prime})"
             )
 
-    # a solved block stores f XOR f', where f' is the secondary's answer
-    kept = [i for _, members, _ in solved_blocks for i in members]
-    stored = values[kept]
-    if n_prime:
-        sec = d.secondary_rows([keys[i] for i in kept])
-        stored ^= np.bitwise_xor.reduce(d.secondary[sec], axis=1)
-    stored = stored.tolist()
-    at = 0
     for bi, members, reduction in solved_blocks:
+        stored = values[members]  # f XOR f', where f' is the secondary's answer
+        if n_prime:
+            sec = d.secondary_rows([keys[i] for i in members])
+            stored ^= np.bitwise_xor.reduce(d.secondary[sec], axis=1)
         base = bi * segment_len
-        d.primary[base : base + segment_len] = reduction.solve(stored[at : at + len(members)])
-        at += len(members)
+        d.primary[base : base + segment_len] = reduction.solve(stored.tolist())
     return d
 
 

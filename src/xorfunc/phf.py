@@ -203,13 +203,12 @@ def build_phf(
             n=n, m=m, k=k, r_lambda=selector_width(k), delta=delta, master_seed=seed,
             seed_generation=gen, lambda_table=np.zeros(m, dtype=np.uint64),
         )
-        rows = p.probe_rows(ordered)
-        probe_sets = rows.tolist()
+        probe_sets = p.probe_rows(ordered).tolist()
         matched = hopcroft_karp(probe_sets, m)
         if _INF in matched:
             continue
         selectors = [row.index(col) for row, col in zip(probe_sets, matched)]
-        solved = solve_xor_system(rows, selectors, m)
+        solved = solve_xor_system(probe_sets, selectors, m)
         if solved is None:
             continue
         p.lambda_table[:] = solved[0]
