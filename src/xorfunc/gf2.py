@@ -206,7 +206,7 @@ def _peel_layers(probe_rows, n_cols: int) -> tuple[PeelOrder, list[int]]:
     first = np.full(n, unset)  # scratch, per row: its first live column's queue position
     last = np.full(n_cols, -1)  # scratch, per column: its last entry in the layer
     frontier = np.flatnonzero(deg == 1)
-    rows, cols, bounds = [], [], [0]
+    rows, cols, bounds = [flat[:0]], [flat[:0]], [0]
     while frontier.size:
         live = frontier[deg[frontier] == 1]
         owner = cxor[live]
@@ -229,8 +229,8 @@ def _peel_layers(probe_rows, n_cols: int) -> tuple[PeelOrder, list[int]]:
         np.subtract.at(deg, ecols, 1)
         np.bitwise_xor.at(cxor, ecols, np.repeat(layer, lens[layer]))
         frontier = ecols[ends & (deg[ecols] == 1)]
+    order = PeelOrder(np.concatenate(rows), np.concatenate(cols), bounds)
     peeled = np.zeros(n, dtype=bool)
-    order = PeelOrder(*(np.concatenate(x or [flat[:0]]) for x in (rows, cols)), bounds)
     peeled[order.rows] = True
     return order, np.flatnonzero(~peeled).tolist()
 

@@ -111,8 +111,8 @@ def distinct_k_rows(keys: Sequence[bytes], k: int, m: int, hashers: Sequence) ->
         return out
     if k > m:
         raise KTooLarge(f"k={k} exceeds range m={m}")
-    moved_from = np.empty((n, k), dtype=np.int64)  # step t displaced position moved_from[:, t]
-    moved_to = np.empty((n, k), dtype=np.int64)  # ... and left moved_to[:, t] there
+    moved_from = np.empty((n, k), dtype=np.int64)  # step t's draw, a position it swapped out
+    moved_to = np.empty((n, k), dtype=np.int64)  # the value step t left at that position
     for step in range(k):
         u64 = hashers[step].u64
         words = np.fromiter((u64(key) for key in keys), dtype=np.uint64, count=n)
