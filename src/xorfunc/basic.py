@@ -55,6 +55,14 @@ def check_values(values: Iterable[int], r: int) -> None:
             raise ValueError(f"value {v} does not fit in {r} bits")
 
 
+def check_table_size(n: int, k: int, m: int) -> None:
+    """Raise KTooLarge unless n keys can draw k distinct probes from m columns."""
+    if n and k > m:
+        raise KTooLarge(f"k={k} exceeds table size m={m}")
+    if n > 1 and k == m:  # every row is all ones, so no two keys are independent
+        raise KTooLarge(f"k={k} equals table size m={m}; {n} keys need m > k")
+
+
 def threshold_warning(k: int, delta: float) -> None:
     """Warn when the density is at or above the full-rank threshold."""
     if k < 3:
@@ -241,10 +249,7 @@ def build(
 
     n = len(items)
     m = math.ceil((1 + delta) * n)
-    if n and k > m:
-        raise KTooLarge(f"k={k} exceeds table size m={m}")
-    if n > 1 and k == m:  # every row is all ones, so no two keys are independent
-        raise KTooLarge(f"k={k} equals table size m={m}; {n} keys need m > k")
+    check_table_size(n, k, m)
     keys = [key for key, _ in items]
     values = [v for _, v in items]
     for gen in range(DEFAULT_RETRY_CAP):

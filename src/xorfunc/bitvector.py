@@ -85,5 +85,18 @@ class RankBitvector:
         return raw[: self.length]
 
 
+def elias_fano_shape(count: int, universe: int) -> tuple[int, int]:
+    """(low width l, high bits) of an Elias-Fano list of count values below universe.
+
+    Each value keeps its l = floor(log2(universe / count)) low bits; its high
+    part sets one bit in a unary stream of count + ((universe - 1) >> l) + 1
+    bits (Vigna, arXiv:1206.4300).  An empty list takes no bits.
+    """
+    if count == 0:
+        return 0, 0
+    low = (universe // count).bit_length() - 1  # exact for 1 <= count <= universe
+    return low, count + ((universe - 1) >> low) + 1
+
+
 def rank1(v: RankBitvector, i: int) -> int:
     return v.rank1(i)

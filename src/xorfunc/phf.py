@@ -7,7 +7,9 @@ itself a retrieval problem over ceil(log2 k)-bit values, solved once; it
 succeeds exactly when the probe rows have full rank, and full rank implies
 that a perfect matching exists (a regular n x n submatrix has a nonzero
 permanent).  Evaluation reads the selector and returns the selected probe.
-The minimal variant ranks the image set with a bitvector.
+The minimal variant ranks the image set with a bitvector.  Its container
+stores the m - n slots outside the image as an Elias-Fano list when that is
+shorter than the bitvector, and the rank bitvector is rebuilt on load.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .basic import DEFAULT_RETRY_CAP, normalize_pairs, threshold_warning
-from .bitvector import RankBitvector
-from .errors import KTooLarge, RandomnessExhausted
+from .basic import DEFAULT_RETRY_CAP, check_table_size, normalize_pairs, threshold_warning
+from .bitvector import RankBitvector, elias_fano_shape
+from .errors import RandomnessExhausted
+from .filters import LOG2_E  # bits/key that any minimal perfect hash needs as n grows
 from .gf2 import solve_xor_system
 from .gf2 import system_full_rank  # noqa: F401  perfbench/layertrace.py patches it here
 from .hashing import ROLE_PROBE, SeededHasher, distinct_k_rows, distinct_k_set, probe_hashers
@@ -138,6 +141,16 @@ class PerfectHash:
         return [f"k: {self.k}", f"lambda_bits_per_slot: {self.r_lambda}"]
 
 
+def stored_image_bits(n: int, m: int) -> int:
+    """Container bits of an image of n slots out of m.
+
+    The Elias-Fano list of the m - n unused slots, or one bit per slot where
+    that list would take m bits or more (m - n above about m / 4).
+    """
+    low, high = elias_fano_shape(m - n, m)
+    return min((m - n) * low + high, m)
+
+
 @dataclass(eq=False)
 class MinimalPerfectHash:
     """A perfect hash composed with rank over its image: a bijection onto [n]."""
@@ -157,8 +170,18 @@ class MinimalPerfectHash:
         return self.base.m
 
     @property
+    def image_bits(self) -> int:
+        """Stored size of the image; see :func:`stored_image_bits`."""
+        return stored_image_bits(self.n, self.m)
+
+    @property
+    def rank_bits(self) -> int:
+        """In-memory size of the image: the rank bitvector and its index, rebuilt on load."""
+        return len(self.used) + self.used.index_bits
+
+    @property
     def table_bits(self) -> int:
-        return self.base.table_bits + len(self.used) + self.used.index_bits
+        return self.base.table_bits + self.image_bits
 
     @property
     def bits_per_key(self) -> float:
@@ -173,7 +196,12 @@ class MinimalPerfectHash:
         return sorted(outs) == list(range(len(outs)))
 
     def stats(self) -> list[str]:
-        return [*self.base.stats(), f"rank_index_bits: {self.used.index_bits}"]
+        return [
+            *self.base.stats(),
+            f"image_bits: {self.image_bits}",
+            f"rank_bits: {self.rank_bits}",
+            f"lower_bound_bits_per_key: {LOG2_E:.4f}",
+        ]
 
 
 def build_phf(
@@ -195,8 +223,7 @@ def build_phf(
     if delta <= 0:
         raise ValueError("delta must be > 0")
     m = math.ceil((1 + delta) * n)
-    if n and k > m:
-        raise KTooLarge(f"k={k} exceeds range m={m}")
+    check_table_size(n, k, m)
     threshold_warning(k, delta)
     for gen in range(DEFAULT_RETRY_CAP):
         p = PerfectHash(

@@ -12,7 +12,17 @@ Kind codes are positions in ``KINDS`` plus one: 1 basic retrieval,
 2 compact, 3 blocked, 4 membership filter, 5 Bloomier filter, 6 perfect
 hash, 7 minimal perfect hash.  Filters embed their backend's whole container
 in the kind-specific block.  Derived data (rank indexes, binomial tables,
-shared hash tables) is rebuilt on load.
+shared hash tables, the minimal perfect hash's image bitvector) is rebuilt
+on load.
+
+Each kind is read at exactly one version byte.  Kinds 1-6 are at version 1.
+Kind 7 is at version 2: its payload is the selector table, then the
+Elias-Fano list of the c = m - n slots outside the image (Vigna,
+arXiv:1206.4300): c low parts of l = floor(log2(m / c)) bits, then
+c + ((m - 1) >> l) + 1 high bits, where the i-th value sets bit
+(value >> l) + i.  An empty list takes no bits.  Where the list would take
+m bits or more (c above about m / 4), the image is one bit per slot, as
+version 1 stored it at every size.
 
 Each kind has one encoder and one decoder.  A decoder checks every count it
 reads against the payload length and the kind-specific length before it
@@ -30,7 +40,7 @@ import numpy as np
 
 from . import basic, blocked, compact, filters, phf
 from .basic import DEFAULT_RETRY_CAP, SPLIT_SHARE_T
-from .bitvector import RankBitvector
+from .bitvector import RankBitvector, elias_fano_shape
 from .errors import BadCrc, BadMagic, ContainerError, EmptySupport, UnsupportedVersion
 from .hashing import (
     MAX_GENERATION,
@@ -44,6 +54,7 @@ from .hashing import (
 
 MAGIC = b"SDR1"
 VERSION = 1
+KIND_VERSIONS = {7: 2}  # kind code -> version byte, where it is not VERSION
 
 _FIXED_HEADER = struct.Struct("<4sBBBBBQQQII")
 
@@ -87,8 +98,9 @@ def unpack_entries(buf: bytes, n: int, r: int) -> np.ndarray:
 def _container(kind: str, h: _Header, kind_specific: bytes, payload_bits: np.ndarray) -> bytes:
     code = KINDS.index(kind) + 1
     seed = h.seed & ((1 << 64) - 1)
+    version = KIND_VERSIONS.get(code, VERSION)
     head = _FIXED_HEADER.pack(
-        MAGIC, VERSION, code, h.k, h.r, 0, h.n, h.m, seed, h.generation, len(kind_specific)
+        MAGIC, version, code, h.k, h.r, 0, h.n, h.m, seed, h.generation, len(kind_specific)
     )
     payload = np.packbits(payload_bits, bitorder="little").tobytes()
     body = head + kind_specific + struct.pack("<Q", len(payload_bits)) + payload
@@ -318,17 +330,44 @@ def _encode_phf(p: phf.PerfectHash) -> bytes:
 
 
 def _encode_mphf(mp: phf.MinimalPerfectHash) -> bytes:
-    """The selector entries, then one bit per slot marking the image."""
+    """The selector entries, then the image (see :func:`phf.stored_image_bits`)."""
     p = mp.base
-    stream = np.concatenate([_entry_bits(p.lambda_table, p.r_lambda), mp.used.to_bits()])
+    image = mp.used.to_bits()
+    if mp.image_bits < p.m:
+        image = slot_list_bits(np.flatnonzero(image == 0), p.m)
+    stream = np.concatenate([_entry_bits(p.lambda_table, p.r_lambda), image])
     return _container("mphf", _phf_header(p), struct.pack("<d", p.delta), stream)
+
+
+def slot_list_bits(values: np.ndarray, m: int) -> np.ndarray:
+    """Strictly increasing values below m as c low parts, then the high bits."""
+    low, high_len = elias_fano_shape(len(values), m)
+    values = values.astype(np.int64)
+    high = np.zeros(high_len, dtype=np.uint8)
+    high[(values >> low) + np.arange(len(values))] = 1
+    return np.concatenate([_entry_bits(values & ((1 << low) - 1), low), high])
+
+
+def slot_list(bits: np.ndarray, c: int, m: int) -> np.ndarray:
+    """Inverse of :func:`slot_list_bits`; ``bits`` holds exactly the list.
+
+    Raises ``ContainerError`` unless the high part has exactly c ones and
+    the values rise strictly and stay below m.
+    """
+    low, high_len = elias_fano_shape(c, m)
+    _require(len(bits) == c * low + high_len, "slot list length")
+    ones = np.flatnonzero(bits[c * low :])
+    _require(len(ones) == c, "slot list count")
+    values = ((ones - np.arange(c)) << low) | _entries(bits, c, low).astype(np.int64)
+    _require(bool(np.all(np.diff(values) > 0)), "slot list is not increasing")
+    _require(c == 0 or int(values[-1]) < m, "slot list value beyond m")
+    return values
 
 
 def _perfect_hash(h: _Header, ks: bytes, bits: np.ndarray, image_bits: int) -> phf.PerfectHash:
     """The selector table of kinds 6 and 7; ``image_bits`` follow it in the payload."""
     _require(len(ks) == struct.calcsize("<d"), "kind-specific length")
     (delta,) = _unpack("<d", ks)
-    _check_probes(h)
     _require(h.r == phf.selector_width(h.k), f"selector width {h.r} for k={h.k}")
     _require(len(bits) == h.m * h.r + image_bits, "payload length does not match the table size")
     return phf.PerfectHash(
@@ -338,14 +377,21 @@ def _perfect_hash(h: _Header, ks: bytes, bits: np.ndarray, image_bits: int) -> p
 
 
 def _decode_phf(h: _Header, ks: bytes, bits: np.ndarray):
+    _check_probes(h)
     return _perfect_hash(h, ks, bits, 0)
 
 
 def _decode_mphf(h: _Header, ks: bytes, bits: np.ndarray):
-    base = _perfect_hash(h, ks, bits, h.m)
-    used = bits[h.m * h.r :]
-    _require(int(used.sum()) == h.n, "image size differs from n")
-    return phf.MinimalPerfectHash(base=base, used=RankBitvector(used))
+    _check_probes(h)
+    stored = phf.stored_image_bits(h.n, h.m)
+    base = _perfect_hash(h, ks, bits, stored)
+    image = bits[h.m * h.r :]
+    if stored < h.m:
+        unused = slot_list(image, h.m - h.n, h.m)
+        image = np.ones(h.m, dtype=np.uint8)
+        image[unused] = 0
+    _require(int(image.sum()) == h.n, "image size differs from n")
+    return phf.MinimalPerfectHash(base=base, used=RankBitvector(image))
 
 
 _ENCODERS = {
@@ -384,8 +430,8 @@ def deserialize(data: bytes):
     if len(data) < _FIXED_HEADER.size:
         raise ContainerError("truncated header")
     _, version, kind, k, r, _, n, m, seed, gen, ks_len = _FIXED_HEADER.unpack_from(data)
-    if version != VERSION:
-        raise UnsupportedVersion(f"version {version}")
+    if version != KIND_VERSIONS.get(kind, VERSION):
+        raise UnsupportedVersion(f"version {version} of kind {kind}")
     pos = _FIXED_HEADER.size
     if len(data) < pos + ks_len + 8 + 4:
         raise ContainerError("truncated container")

@@ -206,7 +206,7 @@ def test_criterion_08_perfect_hashing():
     ]
     note = (
         f"    [criterion 08 note] measured MPHF space {mphf_bits:.3f} bits/key "
-        "(plain rank index; asymptotic figure 2.29 not asserted)"
+        "(Elias-Fano list of unused slots; asymptotic figure 2.29 not asserted)"
     )
     ACCEPTANCE_LINES.append(note)
     sys.__stdout__.write(note + "\n")

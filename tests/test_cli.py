@@ -3,6 +3,7 @@ import zlib
 
 import pytest
 
+from xorfunc import basic, blocked, compact, filters, phf, serial
 from xorfunc.cli import EXIT_DATA, EXIT_OK, EXIT_RANDOMNESS, EXIT_USAGE, ingest, main
 from xorfunc.errors import DuplicateKeys, ParseError
 
@@ -191,6 +192,58 @@ def test_table_as_wide_as_k_is_data_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: k=3 equals table size m=3")
 
 
+@pytest.mark.parametrize("kind", ["phf", "mphf"])
+def test_perfect_hash_over_k_slots_is_data_error(tmp_path, capsys, kind):
+    """The perfect hashes reject the same m = k shape, rather than spending every generation."""
+    data = tmp_path / "two.csv"
+    write_csv(data, 2)
+    rc = main(["build", "--kind", kind, "--input", str(data), "--out", str(tmp_path / "x.bin")])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err.startswith("error: k=3 equals table size m=3")
+
+
+def _pairs(n):
+    return [(b"st%d" % i, i % 256) for i in range(n)]
+
+
+STATS_STRUCTURES = {
+    "basic": lambda: basic.build(_pairs(2000), r=8, seed=1),
+    "split-share": lambda: basic.build(_pairs(2000), r=8, seed=2, split_share=True),
+    "compact": lambda: compact.build_compact(_pairs(2000), r=8, seed=3),
+    "blocked": lambda: blocked.build_blocked(_pairs(2000), r=8, b=16, seed=4),
+    "filter": lambda: filters.build_filter([k for k, _ in _pairs(2000)], s=8, seed=5),
+    "bloomier": lambda: filters.build_bloomier(_pairs(2000), r=8, s=8, seed=6),
+    "phf": lambda: phf.build_phf([k for k, _ in _pairs(2000)], seed=7),
+    "mphf-bitvector-image": lambda: phf.build_mphf([k for k, _ in _pairs(2000)], delta=0.4),
+    "mphf": lambda: phf.build_mphf([k for k, _ in _pairs(10_000)], delta=0.035, seed=8),
+}
+
+
+@pytest.mark.parametrize("case", list(STATS_STRUCTURES))
+def test_stats_table_bits_fit_in_the_container(tmp_path, capsys, case):
+    """``table_bits`` counts only stored bits, so the header is what remains of the file."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        structure = STATS_STRUCTURES[case]()
+    path = tmp_path / "s.sdr"
+    path.write_bytes(serial.serialize(structure))
+    assert main(["stats", "--structure", str(path)]) == EXIT_OK
+    stats = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    header, table, total = (int(stats[f]) for f in ("header_bits", "table_bits", "total_bits"))
+    assert header >= 0 and header + table == total == 8 * path.stat().st_size
+    assert float(stats["bits_per_key"]) <= float(stats["total_bits_per_key"])
+    if case.startswith("mphf"):
+        image = int(stats["image_bits"])
+        assert table == structure.m * int(stats["lambda_bits_per_slot"]) + image
+        assert int(stats["rank_bits"]) == structure.m + structure.used.index_bits
+        assert stats["lower_bound_bits_per_key"] == "1.4427"
+    if case == "mphf":  # m = 10,350: 2 selector bits per slot and 2,397 list bits
+        assert (table, image, total) == (23_097, 2_397, 23_592)
+        assert stats["bits_per_key"] == "2.3097"
+
+
 def test_split_share_flag(tmp_path):
     data = tmp_path / "data.csv"
     out = tmp_path / "d.bin"
@@ -271,9 +324,10 @@ PINNED_OUTPUT = {
     "mphf": (
         ["145", "155", "177", "260", "51", "108"],
         [
-            "type: mphf", "n: 300", "m: 420", "r: 0", "table_bits: 1436", "header_bits: 316",
-            "total_bits: 1752", "bits_per_key: 4.7867", "total_bits_per_key: 5.8400", "k: 3",
-            "lambda_bits_per_slot: 2", "rank_index_bits: 176",
+            "type: mphf", "n: 300", "m: 420", "r: 0", "table_bits: 1260", "header_bits: 492",
+            "total_bits: 1752", "bits_per_key: 4.2000", "total_bits_per_key: 5.8400", "k: 3",
+            "lambda_bits_per_slot: 2", "image_bits: 420", "rank_bits: 596",
+            "lower_bound_bits_per_key: 1.4427",
         ],
     ),
     "basic-split-share": (

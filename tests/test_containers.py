@@ -101,9 +101,9 @@ PINNED = {
     ('filter-split-share', 10): ('fdecd3b4785ad64c', '6d71173fe02131b2'),
     ('filter-split-share', 700): ('07e2c594dd4cffe5', '36a2ad8a6801c545'),
     ('filter-split-share', 3000): ('0f9ebb66e11ba829', '498687e8706564f4'),
-    ('mphf', 10): ('d44fce1d8ac8a13d', '0867a5c9373e43cf'),
-    ('mphf', 700): ('f72fee572aae716f', '4d618c7e8084f941'),
-    ('mphf', 3000): ('a0e6851a22e566fe', '4ab4a2dc6fe2f3de'),
+    ('mphf', 10): ('071834a0c00c51ce', '0867a5c9373e43cf'),
+    ('mphf', 700): ('883c6f904bbb3ffd', '4d618c7e8084f941'),
+    ('mphf', 3000): ('3ed327c2a6346856', '4ab4a2dc6fe2f3de'),
     ('phf', 10): ('9fafadd8e38e4dd0', '20af44ac16dd6c50'),
     ('phf', 700): ('6be1bceb6fae05c5', '6b4a5417b9408330'),
     ('phf', 3000): ('9238022ca299b6d5', 'd164013f138dee9d'),

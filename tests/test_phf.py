@@ -1,12 +1,13 @@
 import math
 import random
+import struct
 import sys
 import warnings
 
 import pytest
 
 from xorfunc import serial
-from xorfunc.errors import RandomnessExhausted
+from xorfunc.errors import KTooLarge, RandomnessExhausted
 from xorfunc.hashing import ROLE_PROBE, distinct_k_set, probe_hashers
 from xorfunc.phf import (
     build_mphf,
@@ -86,6 +87,16 @@ def test_mphf_is_bijection():
     assert outs == list(range(2000))
 
 
+def test_range_of_k_slots_is_rejected_for_two_or_more_keys():
+    # three keys at k=4, delta=0.10 give m=4: every probe row is all ones
+    for build in (build_phf, build_mphf):
+        with pytest.raises(KTooLarge):
+            build([b"a", b"b", b"c"])
+        with pytest.raises(KTooLarge):
+            build([b"a", b"b"], k=3, delta=0.5)  # m = 3
+    assert eval_mphf(build_mphf([b"a"], k=2, delta=1.0), b"a") == 0
+
+
 def test_mphf_single_key():
     mp = build_mphf([b"one"], k=2, delta=1.0, seed=5)
     assert eval_mphf(mp, b"one") == 0
@@ -96,7 +107,19 @@ def test_space_accounting():
     p = build_phf(keys, k=4, delta=0.25, seed=6)
     assert p.table_bits == p.m * math.ceil(math.log2(4))
     mp = build_mphf(keys, k=4, delta=0.25, seed=6)
-    assert mp.table_bits == p.table_bits + p.m + mp.used.index_bits
+    # the container holds the selectors and an Elias-Fano list of the c unused slots
+    c = p.m - p.n
+    low = math.floor(math.log2(p.m / c))
+    assert (c, low) == (250, 2)
+    assert mp.image_bits == c * low + c + ((p.m - 1) >> low) + 1 == 1063
+    assert mp.table_bits == p.table_bits + mp.image_bits
+    payload_bits_at = serial._FIXED_HEADER.size + 8  # after the 8-byte delta block
+    assert struct.unpack_from("<Q", serial.serialize(mp), payload_bits_at)[0] == mp.table_bits
+    # the rank bitvector is rebuilt on load and counted apart
+    assert mp.rank_bits == p.m + mp.used.index_bits
+    # at delta = 0.4 the list (1,500 bits) would be longer than one bit per slot
+    wide = build_mphf(keys, k=4, delta=0.4, seed=6)
+    assert wide.image_bits == wide.m == 1400
     assert mp.bits_per_key > p.bits_per_key
 
 

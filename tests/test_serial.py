@@ -2,11 +2,13 @@ import struct
 import warnings
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xorfunc import basic, blocked, compact, filters, phf, serial
+from xorfunc.bitvector import elias_fano_shape
 from xorfunc.errors import BadCrc, BadMagic, ContainerError, UnsupportedVersion, XorFuncError
 
 
@@ -112,12 +114,25 @@ def test_truncation_detected():
             serial.deserialize(blob[:cut])
 
 
+def _resealed(body):
+    """``body`` (a container without its checksum) with a fresh CRC-32 appended."""
+    return bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
 def test_unsupported_version():
     d = basic.build(pairs_of(10), r=8, k=3, delta=0.5, seed=4)
     blob = bytearray(serial.serialize(d))
     blob[4] = 9
     with pytest.raises(UnsupportedVersion):
         serial.deserialize(bytes(blob))
+    # kind 7 is read only at version 2, and kinds 1-6 only at version 1
+    mphf_blob = serial.serialize(phf.build_mphf([k for k, _ in pairs_of(50)], seed=4))
+    assert mphf_blob[4:6] == b"\x02\x07" and serial.serialize(d)[4:6] == b"\x01\x01"
+    for original, version in ((mphf_blob, 1), (serial.serialize(d), 2)):
+        body = bytearray(original[:-4])
+        body[4] = version
+        with pytest.raises(UnsupportedVersion):
+            serial.deserialize(_resealed(body))
 
 
 def test_entry_bit_packing_is_lsb_first():
@@ -132,7 +147,97 @@ def _with_backend_code(blob, code):
     """``blob``, a membership filter's container, relabelled to backend ``code``."""
     body = bytearray(blob[:-4])
     body[serial._FIXED_HEADER.size + 8] = code  # after the signature seed
-    return bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+    return _resealed(body)
+
+
+@st.composite
+def slot_sets(draw):
+    """(m, strictly increasing values below m): empty, single, dense or bunched at an end."""
+    m = draw(st.integers(1, 600))
+    shape = draw(st.sampled_from(["any", "empty", "one", "dense", "low", "high"]))
+    if shape == "empty":
+        return m, []
+    if shape == "one":
+        return m, [draw(st.integers(0, m - 1))]
+    if shape in ("low", "high"):
+        c = draw(st.integers(1, m))
+        return m, list(range(c)) if shape == "low" else list(range(m - c, m))
+    lo = m // 2 + 1 if shape == "dense" else 0  # more than m/2 values: low width 0
+    values = draw(st.sets(st.integers(0, m - 1), min_size=min(lo, m), max_size=m))
+    return m, sorted(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=slot_sets())
+def test_slot_list_roundtrip(case):
+    m, values = case
+    c = len(values)
+    bits = serial.slot_list_bits(np.array(values, dtype=np.int64), m)
+    low, high = elias_fano_shape(c, m)
+    assert len(bits) == c * low + high and int(bits[c * low :].sum()) == c
+    if 2 * c > m:
+        assert low == 0
+    assert serial.slot_list(bits, c, m).tolist() == values
+
+
+def test_slot_list_rejects_malformed_lists():
+    m = 100
+    good = serial.slot_list_bits(np.array([3, 40, 41, 99]), m)
+    low, high = elias_fano_shape(4, m)  # l = 4, 4 + 6 + 1 high bits
+    assert (low, high) == (4, 11)
+    extra_one = good.copy()
+    extra_one[4 * low + np.flatnonzero(good[4 * low :] == 0)[0]] = 1
+    missing_one = good.copy()
+    missing_one[4 * low + np.flatnonzero(good[4 * low :])[0]] = 0
+    for bits, message in (
+        (extra_one, "count"),
+        (missing_one, "count"),
+        (serial.slot_list_bits(np.array([3, 41, 40, 99]), m), "increasing"),
+        (serial.slot_list_bits(np.array([3, 40, 40, 99]), m), "increasing"),
+        (serial.slot_list_bits(np.array([3, 40, 41, 100]), m), "beyond m"),
+        (good[:-1], "length"),
+    ):
+        with pytest.raises(ContainerError, match=message):
+            serial.slot_list(bits, 4, m)
+
+
+def _with_image(blob, image_bits):
+    """``blob``, a kind-7 container, with its payload's image replaced by ``image_bits``."""
+    mp = serial.deserialize(blob)
+    selector = serial._entry_bits(mp.base.lambda_table, mp.base.r_lambda)
+    stream = np.concatenate([selector, image_bits]).astype(np.uint8)
+    head = serial._FIXED_HEADER.size + 8  # the kind-specific block is the 8-byte delta
+    body = bytearray(blob[:head])
+    body += struct.pack("<Q", len(stream)) + np.packbits(stream, bitorder="little").tobytes()
+    return _resealed(body)
+
+
+def test_mphf_container_with_malformed_slot_list_is_rejected():
+    keys = [k for k, _ in pairs_of(3000, tag=b"ef")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mp = phf.build_mphf(keys, k=4, delta=0.035, seed=11)
+    blob = serial.serialize(mp)
+    unused = np.flatnonzero(mp.used.to_bits() == 0)
+    assert mp.image_bits < mp.m and len(unused) == mp.m - mp.n
+    assert _with_image(blob, serial.slot_list_bits(unused, mp.m)) == blob
+    low, _ = elias_fano_shape(len(unused), mp.m)
+    high_at = len(unused) * low
+    image = serial.slot_list_bits(unused, mp.m)
+    flipped = image.copy()
+    flipped[high_at + np.flatnonzero(image[high_at:] == 0)[0]] = 1
+    swapped = unused.copy()
+    swapped[[0, 1]] = swapped[[1, 0]]
+    beyond = unused.copy()
+    beyond[-1] = mp.m
+    for bad in (
+        flipped,
+        serial.slot_list_bits(swapped, mp.m),
+        serial.slot_list_bits(beyond, mp.m),
+    ):
+        assert len(bad) == len(image)
+        with pytest.raises(ContainerError):
+            serial.deserialize(_with_image(blob, bad))
 
 
 def test_filter_backend_code_must_match_the_embedded_kind():
@@ -150,7 +255,8 @@ def test_filter_backend_code_must_match_the_embedded_kind():
 
 
 def fuzz_containers():
-    """One small container per kind, split-share and a blocked-backend Bloomier filter."""
+    """One small container per kind, split-share, a blocked-backend Bloomier filter and a
+    minimal perfect hash at delta = 0.035, whose image is stored as a slot list."""
     pairs = pairs_of(40, tag=b"fz")
     keys = [k for k, _ in pairs]
     structures = [
@@ -165,6 +271,7 @@ def fuzz_containers():
         ),
         phf.build_phf(keys, k=3, delta=0.4, seed=7),
         phf.build_mphf(keys, k=3, delta=0.4, seed=8),
+        phf.build_mphf([b"fm%d" % i for i in range(200)], k=4, delta=0.035, seed=9),
     ]
     return [serial.serialize(s) for s in structures]
 
