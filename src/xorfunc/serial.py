@@ -349,13 +349,13 @@ def slot_list_bits(values: np.ndarray, m: int) -> np.ndarray:
 
 
 def slot_list(bits: np.ndarray, c: int, m: int) -> np.ndarray:
-    """Inverse of :func:`slot_list_bits`; ``bits`` holds exactly the list.
+    """Inverse of :func:`slot_list_bits`; the caller has checked that ``bits``
+    is exactly as long as a list of c values below m.
 
     Raises ``ContainerError`` unless the high part has exactly c ones and
     the values rise strictly and stay below m.
     """
-    low, high_len = elias_fano_shape(c, m)
-    _require(len(bits) == c * low + high_len, "slot list length")
+    low = elias_fano_shape(c, m)[0]
     ones = np.flatnonzero(bits[c * low :])
     _require(len(ones) == c, "slot list count")
     values = ((ones - np.arange(c)) << low) | _entries(bits, c, low).astype(np.int64)

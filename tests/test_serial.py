@@ -180,27 +180,6 @@ def test_slot_list_roundtrip(case):
     assert serial.slot_list(bits, c, m).tolist() == values
 
 
-def test_slot_list_rejects_malformed_lists():
-    m = 100
-    good = serial.slot_list_bits(np.array([3, 40, 41, 99]), m)
-    low, high = elias_fano_shape(4, m)  # l = 4, 4 + 6 + 1 high bits
-    assert (low, high) == (4, 11)
-    extra_one = good.copy()
-    extra_one[4 * low + np.flatnonzero(good[4 * low :] == 0)[0]] = 1
-    missing_one = good.copy()
-    missing_one[4 * low + np.flatnonzero(good[4 * low :])[0]] = 0
-    for bits, message in (
-        (extra_one, "count"),
-        (missing_one, "count"),
-        (serial.slot_list_bits(np.array([3, 41, 40, 99]), m), "increasing"),
-        (serial.slot_list_bits(np.array([3, 40, 40, 99]), m), "increasing"),
-        (serial.slot_list_bits(np.array([3, 40, 41, 100]), m), "beyond m"),
-        (good[:-1], "length"),
-    ):
-        with pytest.raises(ContainerError, match=message):
-            serial.slot_list(bits, 4, m)
-
-
 def _with_image(blob, image_bits):
     """``blob``, a kind-7 container, with its payload's image replaced by ``image_bits``."""
     mp = serial.deserialize(blob)
@@ -220,23 +199,25 @@ def test_mphf_container_with_malformed_slot_list_is_rejected():
     blob = serial.serialize(mp)
     unused = np.flatnonzero(mp.used.to_bits() == 0)
     assert mp.image_bits < mp.m and len(unused) == mp.m - mp.n
-    assert _with_image(blob, serial.slot_list_bits(unused, mp.m)) == blob
-    low, _ = elias_fano_shape(len(unused), mp.m)
-    high_at = len(unused) * low
     image = serial.slot_list_bits(unused, mp.m)
-    flipped = image.copy()
-    flipped[high_at + np.flatnonzero(image[high_at:] == 0)[0]] = 1
-    swapped = unused.copy()
+    assert _with_image(blob, image) == blob
+    high_at = len(unused) * elias_fano_shape(len(unused), mp.m)[0]
+    extra_one, missing_one = image.copy(), image.copy()
+    extra_one[high_at + np.flatnonzero(image[high_at:] == 0)[0]] = 1
+    missing_one[high_at + np.flatnonzero(image[high_at:])[0]] = 0
+    swapped, repeated, beyond = unused.copy(), unused.copy(), unused.copy()
     swapped[[0, 1]] = swapped[[1, 0]]
-    beyond = unused.copy()
+    repeated[1] = repeated[0]
     beyond[-1] = mp.m
-    for bad in (
-        flipped,
-        serial.slot_list_bits(swapped, mp.m),
-        serial.slot_list_bits(beyond, mp.m),
+    for bad, message in (
+        (extra_one, "count"),
+        (missing_one, "count"),
+        (serial.slot_list_bits(swapped, mp.m), "increasing|count"),
+        (serial.slot_list_bits(repeated, mp.m), "increasing"),
+        (serial.slot_list_bits(beyond, mp.m), "beyond m"),
     ):
         assert len(bad) == len(image)
-        with pytest.raises(ContainerError):
+        with pytest.raises(ContainerError, match=message):
             serial.deserialize(_with_image(blob, bad))
 
 
