@@ -7,13 +7,10 @@ machinery, plus a numerical lab for the underlying rank thresholds.
 """
 
 from .basic import (
-    CompressedRetrieval,
     RetrievalStructure,
     SplitShareRetrieval,
     build,
-    compress,
     query,
-    query_compressed,
     verify,
 )
 from .bitvector import RankBitvector, rank1
@@ -37,7 +34,6 @@ from .errors import (
     IndexOutOfRange,
     KTooLarge,
     ParseError,
-    PivotMismatch,
     RandomnessExhausted,
     UnsupportedVersion,
     XorFuncError,

@@ -17,9 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bitvector import RankBitvector
-from .errors import DuplicateKeys, KTooLarge, PivotMismatch, RandomnessExhausted
-from .gf2 import solve_xor_system
+from .errors import DuplicateKeys, KTooLarge, RandomnessExhausted
+from .gf2 import reduce_segments, solve_xor_system
 from .hashing import (
     ROLE_PROBE,
     ChunkHasher,
@@ -130,38 +129,6 @@ class RetrievalStructure(Retrieval):
 
     def stats(self) -> list[str]:
         return [f"k: {self.k}", f"seed_generation: {self.seed_generation}"]
-
-
-@dataclass(eq=False)
-class CompressedRetrieval(Retrieval):
-    """Only the n significant table entries, addressed through a rank bitvector."""
-
-    base: np.ndarray  # entries at the marked columns, in column order
-    membership: RankBitvector
-    k: int
-    r: int
-    master_seed: int
-    seed_generation: int
-    _hashers: list[SeededHasher] = field(init=False, repr=False)
-    _entries: memoryview = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._hashers = probe_hashers(self.master_seed, ROLE_PROBE, self.seed_generation, self.k)
-        self._entries = memoryview(self.base)
-
-    @property
-    def m(self) -> int:
-        return len(self.membership)
-
-    def query(self, key: bytes) -> int:
-        """Same answer as the uncompressed structure; non-pivot probes contribute 0."""
-        if self.m == 0 or self.k > self.m:
-            return 0
-        acc = 0
-        for j in distinct_k_set(key, self.k, self.m, self._hashers):
-            if self.membership.get(j):
-                acc ^= self._entries[self.membership.rank1(j)]
-        return acc
 
 
 @dataclass(eq=False)
@@ -285,22 +252,24 @@ def _build_split_share(
         chunk_generations=[0] * len(chunks), chunk_offsets=offsets,
         table=np.zeros(int(offsets[-1]), dtype=np.uint64),
     )
-    for ci, members in enumerate(chunks):
-        if not members:
-            continue
-        seg_len = seg_lens[ci]
-        values = [items[i][1] for i in members]
-        for gen in range(DEFAULT_RETRY_CAP):
-            provider.ensure_tables((gen + 1) * k)
+    pending = [ci for ci, members in enumerate(chunks) if members]
+    for gen in range(DEFAULT_RETRY_CAP):
+        if not pending:
+            break
+        # the pending chunks, stacked as segments of one system in table columns
+        provider.ensure_tables((gen + 1) * k)
+        rows: list[tuple[int, ...]] = []
+        for ci in pending:
             d.chunk_generations[ci] = gen
             hashers = d._chunk_hashers(ci)
-            rows = [distinct_k_set(digests[i], k, seg_len, hashers) for i in members]
-            solved = solve_xor_system(rows, values, seg_len)
-            if solved is not None:
-                d.table[offsets[ci] : offsets[ci + 1]] = solved[0]
-                break
-        else:
-            raise RandomnessExhausted(f"chunk {ci} failed {DEFAULT_RETRY_CAP} generations")
+            rows += [distinct_k_set(digests[i], k, seg_lens[ci], hashers) for i in chunks[ci]]
+        sizes = [len(chunks[ci]) for ci in pending]
+        stacked = np.array(rows, dtype=np.int64) + np.repeat(offsets[pending], sizes)[:, None]
+        reduction = reduce_segments(stacked, d.m, np.cumsum([0] + sizes))
+        d.table |= reduction.solve([items[i][1] for ci in pending for i in chunks[ci]])
+        pending = [pending[s] for s in reduction.failed]
+    if pending:
+        raise RandomnessExhausted(f"chunk {pending[0]} failed {DEFAULT_RETRY_CAP} generations")
     return d
 
 
@@ -313,28 +282,3 @@ def verify(structure, pairs: Iterable[Pair]) -> bool:
     """True iff the structure answers every pair as its kind's ``verify`` requires."""
     return structure.verify(pairs)
 
-
-def compress(d: RetrievalStructure, pivots: Sequence[int] | None) -> CompressedRetrieval:
-    """Keep only the significant entries; probes route through a rank bitvector."""
-    if pivots is None:
-        raise PivotMismatch("pivots exist only on a freshly built structure, not a loaded one")
-    piv = sorted(pivots)
-    if len(piv) != d.n or len(set(piv)) != d.n:
-        raise PivotMismatch("expected exactly n distinct pivot columns")
-    if piv and (piv[0] < 0 or piv[-1] >= d.m):
-        raise PivotMismatch("pivot column out of table range")
-    marked = np.zeros(d.m, dtype=np.uint8)
-    marked[piv] = 1
-    if np.any(d.table[marked == 0]):
-        raise PivotMismatch("table has nonzero entries outside the pivot columns")
-    return CompressedRetrieval(
-        base=d.table[np.array(piv, dtype=np.int64)] if piv else np.zeros(0, dtype=np.uint64),
-        membership=RankBitvector(marked),
-        k=d.k,
-        r=d.r,
-        master_seed=d.master_seed,
-        seed_generation=d.seed_generation,
-    )
-
-
-query_compressed = CompressedRetrieval.query

@@ -23,7 +23,7 @@ import numpy as np
 from .basic import DEFAULT_RETRY_CAP, Pair, Retrieval, check_values, normalize_pairs
 from .basic import threshold_warning
 from .errors import KTooLarge, RandomnessExhausted
-from .gf2 import XorReduction, reduce_xor_system, solve_xor_system
+from .gf2 import reduce_segments, solve_xor_system
 from .gf2 import system_full_rank  # noqa: F401  perfbench/layertrace.py patches it here
 from .hashing import (
     ROLE_PROBE,
@@ -145,9 +145,9 @@ def build_blocked(
 
     A block is attempted when its key count fits its ``segment_len`` columns;
     it overflows to the secondary only when its rows are singular.
-    ``b_prime`` only sizes the segment, it is no admission cap.  Each block
-    is peeled and eliminated once: the reduction made by the rank check is
-    reused to solve the block once the secondary is known.
+    ``b_prime`` only sizes the segment, it is no admission cap.  The blocks
+    are reduced together, as segments of one system in primary columns, and
+    solved once the secondary is known; a singular block's columns stay zero.
     """
     items = normalize_pairs(pairs)
     n = len(items)
@@ -174,25 +174,17 @@ def build_blocked(
     values = np.array([v for _, v in items], dtype=np.uint64)
     block = d.blocks_of(keys)
     sizes = np.bincount(block, minlength=m0)
-    ends = np.cumsum(sizes)
     by_block = np.argsort(block, kind="stable")  # key positions block by block, in key order
     # more rows than segment columns can never have full rank: such blocks get no rows
-    fits = by_block[sizes[block[by_block]] <= segment_len]
-    rows = d.primary_rows([keys[i] for i in fits])
-
-    overflow: list[int] = []
-    solved_blocks: list[tuple[int, list[int], XorReduction]] = []
-    at = 0
-    for bi, (size, end) in enumerate(zip(sizes.tolist(), ends.tolist())):
-        members = by_block[end - size : end].tolist()
-        reduction = None
-        if 0 < size <= segment_len:
-            reduction = reduce_xor_system(rows[at : at + size], segment_len)
-            at += size
-        if reduction is None:
-            overflow.extend(members)
-        else:
-            solved_blocks.append((bi, members, reduction))
+    fits = (0 < sizes) & (sizes <= segment_len)
+    admitted = by_block[fits[block[by_block]]]
+    rows = d.primary_rows([keys[i] for i in admitted])
+    rows += (block[admitted] * segment_len)[:, None]  # segment columns to primary columns
+    bounds = np.concatenate(([0], np.cumsum(sizes[fits])))
+    reduction = reduce_segments(rows, len(d.primary), bounds)
+    solves = fits.copy()
+    solves[np.flatnonzero(fits)[reduction.failed]] = False
+    overflow = by_block[~solves[block[by_block]]].tolist()
 
     n_prime = len(overflow)
     if n_prime:
@@ -213,13 +205,12 @@ def build_blocked(
                 f"secondary structure failed {DEFAULT_RETRY_CAP} generations (n'={n_prime})"
             )
 
-    for bi, members, reduction in solved_blocks:
-        stored = values[members]  # f XOR f', where f' is the secondary's answer
-        if n_prime:
-            sec = d.secondary_rows([keys[i] for i in members])
-            stored ^= np.bitwise_xor.reduce(d.secondary[sec], axis=1)
-        base = bi * segment_len
-        d.primary[base : base + segment_len] = reduction.solve(stored.tolist())
+    stored = values[admitted]  # f XOR f', where f' is the secondary's answer
+    if n_prime:
+        solved = solves[block[admitted]]  # a failed block's values go unused
+        sec = d.secondary_rows([keys[i] for i in admitted[solved]])
+        stored[solved] ^= np.bitwise_xor.reduce(d.secondary[sec], axis=1)
+    d.primary[:] = reduction.solve(stored)
     return d
 
 

@@ -25,10 +25,6 @@ class RandomnessExhausted(XorFuncError):
     """Retry cap hit; density is above threshold or the input is adversarial."""
 
 
-class PivotMismatch(XorFuncError):
-    """Supplied pivot columns do not match the structure's solution."""
-
-
 class DomainError(XorFuncError):
     """Numeric argument outside the operation's domain."""
 

@@ -4,10 +4,13 @@ Rows are packed little-endian into numpy uint64 words: bit j of a row lives
 in word j // 64 at bit position j % 64.
 
 :func:`peel` first takes, again and again, a column hit by a single remaining
-row; the rows that never peel form the core.  One core routine
-(:func:`_solve_core`) behind :func:`solve_xor_system`, :func:`system_full_rank`
-and :func:`reduce_xor_system` then runs three stages, carrying right-hand
-sides as Python ints (the values, ``1 << t`` for a reduction, none for a rank):
+row; the rows that never peel form the core.  Columns are taken first in,
+first out, one layer of that queue per numpy pass, and the peeled columns
+are filled last, one layer per gather-XOR, last layer first.  One core
+routine (:func:`_solve_core`) behind :func:`solve_xor_system`,
+:func:`system_full_rank` and :func:`reduce_segments` then runs three stages,
+carrying right-hand sides as Python ints (the values, ``1 << t`` for a
+reduction, none for a rank):
 
 * lazy elimination (Genuzio, Ottaviano & Vigna, arXiv:1603.04330) solves the
   rows left with one idle column and activates the heaviest idle column
@@ -23,18 +26,18 @@ sides as Python ints (the values, ``1 << t`` for a reduction, none for a rank):
 Every table is thus zero off the pivot columns of a column-order
 elimination.  A solution with that property is unique, so the tables and
 pivots, and the containers made from them, do not depend on how the core
-was eliminated.  The peeled columns are filled last, last peeled first.
+was eliminated.
 
-Peeling takes columns first in, first out.  A system of
-``LAYERED_PEEL_ROWS`` rows or more, such as an (n, k) int array of probe
-rows, is peeled one layer of that queue per numpy pass and back-substituted
-one layer per gather-XOR, with the same peel order and table as the
-column-at-a-time pass that smaller systems run.
+:func:`reduce_segments` takes many systems at once, stacked as segments of
+rows over disjoint columns (the blocks and chunks of the blocked and
+split-and-share builds).  First-in-first-out order survives restriction to
+independent pieces, so one peel of the stack gives each segment the peel it
+would have alone; each segment's core is then solved alone, so a singular
+segment fails alone.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -92,9 +95,6 @@ def eliminate(arr: np.ndarray, n_cols: int) -> list[int]:
     return pivots
 
 
-LAYERED_PEEL_ROWS = 1024  # systems this large peel and back-substitute layer by layer
-
-
 @dataclass(frozen=True, eq=False)
 class PeelOrder:
     """Peeled ``(row, column)`` pairs in peel order, grouped in layers.
@@ -114,10 +114,11 @@ class PeelOrder:
     def __iter__(self):
         return zip(self.rows.tolist(), self.cols.tolist())
 
-
-def _lists(probe_rows) -> Sequence[Sequence[int]]:
-    """The rows as Python sequences of ints; an int array becomes nested lists."""
-    return probe_rows.tolist() if isinstance(probe_rows, np.ndarray) else probe_rows
+    def restricted(self, keep: np.ndarray) -> PeelOrder:
+        """The pairs where ``keep`` (one bool per pair) holds, layers kept, empty ones dropped."""
+        kept = np.concatenate(([0], np.cumsum(keep)))[self.bounds]
+        bounds = [0] + [int(b) for a, b in zip(kept, kept[1:]) if b > a]
+        return PeelOrder(self.rows[keep], self.cols[keep], bounds)
 
 
 def _flat(probe_rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -144,58 +145,12 @@ def peel(
     A column hit by a single remaining row fixes that row's equation; removing
     the row may leave further such columns.  The rows that never peel form
     the core, which only dense elimination can solve.  Columns are taken
-    first in, first out; systems of ``LAYERED_PEEL_ROWS`` rows or more peel
-    a whole layer of that queue per numpy pass, in the same order.
-    """
-    if len(probe_rows) >= LAYERED_PEEL_ROWS:
-        return _peel_layers(probe_rows, n_cols)
-    return _peel_queue(_lists(probe_rows), n_cols)
-
-
-def _peel_queue(
-    probe_rows: Sequence[Sequence[int]], n_cols: int
-) -> tuple[PeelOrder, list[int]]:
-    """:func:`peel` one column at a time, from a queue."""
-    deg = [0] * n_cols
-    cxor = [0] * n_cols
-    for i, row in enumerate(probe_rows):
-        for j in row:
-            deg[j] += 1
-            cxor[j] ^= i
-    queue = deque(j for j in range(n_cols) if deg[j] == 1)
-    rows: list[int] = []
-    cols: list[int] = []
-    bounds = [0]
-    layer_end = len(queue)  # pops until the queue holds just the next layer
-    peeled = [False] * len(probe_rows)
-    while queue:
-        j = queue.popleft()
-        layer_end -= 1
-        if deg[j] == 1:
-            i = cxor[j]
-            peeled[i] = True
-            rows.append(i)
-            cols.append(j)
-            for j2 in probe_rows[i]:
-                deg[j2] -= 1
-                cxor[j2] ^= i
-                if deg[j2] == 1:
-                    queue.append(j2)
-        if not layer_end:
-            if len(rows) > bounds[-1]:
-                bounds.append(len(rows))
-            layer_end = len(queue)
-    order = PeelOrder(np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), bounds)
-    return order, [i for i, done in enumerate(peeled) if not done]
-
-
-def _peel_layers(probe_rows, n_cols: int) -> tuple[PeelOrder, list[int]]:
-    """:func:`peel` one queue layer per numpy pass.
+    first in, first out, one layer of that queue per numpy pass.
 
     Within a layer a row is peeled by the first queued column (in queue
     order) whose single row it is.  The next layer is the columns whose
-    degree then reaches 1, in the order the queue pass decrements them:
-    each at its last entry among the layer's rows.
+    degree then reaches 1, in the order a column-at-a-time queue pass
+    decrements them: each at its last entry among the layer's rows.
     """
     flat, starts, lens = _flat(probe_rows)
     n = len(lens)
@@ -420,39 +375,28 @@ def _solve_core(
     return [core_cols[c] for c in pivots], [entry[c] for c in pivots]
 
 
-def _core_rows(probe_rows, core: list[int]) -> list[Sequence[int]]:
+def _core_rows(probe_rows, core) -> list[Sequence[int]]:
     """The core's rows, as Python sequences of ints."""
     if isinstance(probe_rows, np.ndarray):
         return probe_rows[core].tolist()
     return [probe_rows[i] for i in core]
 
 
-def _back_substitute(probe_rows, values, peel_order: PeelOrder, table: list[int]) -> np.ndarray:
-    """Fill the peeled columns, last peeled first, once the core columns are set.
+def _back_substitute(probe_rows, values, peel_order: PeelOrder, table: np.ndarray) -> np.ndarray:
+    """Fill the peeled columns of ``table`` once its core columns are set.
 
-    Systems of ``LAYERED_PEEL_ROWS`` rows or more fill one peeling layer per
-    gather-XOR, last layer first: a layer's rows read only columns of later
-    layers and the core.
+    One peeling layer per gather-XOR, last layer first: a layer's rows read
+    only columns of later layers and the core.
     """
-    if len(probe_rows) < LAYERED_PEEL_ROWS:
-        probe_rows = _lists(probe_rows)
-        for i, j in zip(reversed(peel_order.rows.tolist()), reversed(peel_order.cols.tolist())):
-            acc = int(values[i])
-            for j2 in probe_rows[i]:
-                if j2 != j:
-                    acc ^= table[j2]
-            table[j] = acc
-        return np.array(table, dtype=np.uint64)
     flat, starts, lens = _flat(probe_rows)
     values = np.asarray(values, dtype=np.uint64)
-    out = np.array(table, dtype=np.uint64)  # zero on every peeled column
     bounds = peel_order.bounds
     for lo, hi in zip(reversed(bounds[:-1]), reversed(bounds[1:])):
         rows = peel_order.rows[lo:hi]
-        entries = out[flat[_gather(starts[rows], lens[rows])]]
+        entries = table[flat[_gather(starts[rows], lens[rows])]]
         acc = np.bitwise_xor.reduceat(entries, np.cumsum(lens[rows]) - lens[rows])
-        out[peel_order.cols[lo:hi]] = values[rows] ^ acc
-    return out
+        table[peel_order.cols[lo:hi]] = values[rows] ^ acc
+    return table
 
 
 def solve_xor_system(
@@ -468,10 +412,10 @@ def solve_xor_system(
     zero outside the pivot columns, one pivot per row.  The probe sets may
     be an (n, k) int array.
     """
+    table = np.zeros(n_cols, dtype=np.uint64)
     if not len(probe_rows):
-        return np.zeros(n_cols, dtype=np.uint64), []
+        return table, []
     peel_order, core = peel(probe_rows, n_cols)
-    table = [0] * n_cols
     pivot_cols: list[int] = []
     if core:
         vals = [int(values[i]) for i in core]
@@ -479,8 +423,7 @@ def solve_xor_system(
         if solved is None:
             return None
         pivot_cols, entries = solved
-        for col, val in zip(pivot_cols, entries):
-            table[col] = val
+        table[pivot_cols] = np.array(entries, dtype=np.uint64)
     pivot_cols += peel_order.cols[::-1].tolist()
     return _back_substitute(probe_rows, values, peel_order, table), pivot_cols
 
@@ -502,49 +445,71 @@ def system_full_rank(probe_rows: Sequence[Sequence[int]], n_cols: int) -> list[i
     return pivot_cols
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class XorReduction:
-    """A full-rank probe system reduced once, to be solved for values given later.
+    """Segments of a probe system reduced once, to be solved for values given later.
 
-    ``core_rows[t]`` marks the core rows (indices into ``core``) whose values
-    XOR to the entry of core pivot column ``core_pivots[t]``: it is row t of
-    the inverse of the core restricted to its pivot columns.  So :meth:`solve`
+    Segment s is rows ``bounds[s]:bounds[s + 1]``, and segments share no
+    column.  ``failed`` lists the segments whose rows are dependent; they
+    are left out of :meth:`solve`, so their columns stay zero.  Core pivot
+    column ``core_pivots[t]`` is the XOR of the values of the rows
+    ``core_terms[core_starts[t]:core_starts[t + 1]]``: a row of the inverse
+    of its segment's core restricted to its pivot columns.  So :meth:`solve`
     repeats neither the peel nor the dense elimination.
     """
 
-    probe_rows: Sequence[Sequence[int]]
+    probe_rows: Sequence[Sequence[int]] | np.ndarray
     n_cols: int
-    peel_order: PeelOrder
-    core: list[int]
-    core_pivots: list[int]
-    core_rows: np.ndarray  # bool, (len(core_pivots), len(core))
+    failed: list[int]
+    peel_order: PeelOrder  # of the segments that solve
+    core_pivots: np.ndarray
+    core_terms: np.ndarray
+    core_starts: np.ndarray
 
     def solve(self, values: Sequence[int]) -> np.ndarray:
-        """The table ``solve_xor_system(probe_rows, values, n_cols)`` returns."""
-        table = [0] * self.n_cols
-        if self.core_pivots:
-            vals = np.array([values[i] for i in self.core], dtype=np.uint64)
-            entries = np.bitwise_xor.reduce(np.where(self.core_rows, vals, 0), axis=1)
-            for col, val in zip(self.core_pivots, entries.tolist()):
-                table[col] = val
+        """Each solving segment's table from ``solve_xor_system``, zero on failed segments."""
+        values = np.asarray(values, dtype=np.uint64)
+        table = np.zeros(self.n_cols, dtype=np.uint64)
+        if len(self.core_pivots):
+            terms = values[self.core_terms]
+            table[self.core_pivots] = np.bitwise_xor.reduceat(terms, self.core_starts)
         return _back_substitute(self.probe_rows, values, self.peel_order, table)
 
 
-def reduce_xor_system(probe_rows: Sequence[Sequence[int]], n_cols: int) -> XorReduction | None:
-    """Reduce the system for later solves, or None when the rows are dependent.
+def reduce_segments(
+    probe_rows: Sequence[Sequence[int]] | np.ndarray, n_cols: int, bounds: Sequence[int]
+) -> XorReduction:
+    """Reduce the segments ``bounds[s]:bounds[s + 1]`` of the rows for later solves.
 
-    Peels and eliminates exactly as :func:`solve_xor_system` does, with core
-    row t's right-hand side ``1 << t`` in place of its value.
+    The segments must share no column.  One peel covers them all; each
+    segment's core is then eliminated alone, exactly as
+    :func:`solve_xor_system` would, with core row t's right-hand side
+    ``1 << t`` in place of its value.
     """
+    bounds = np.asarray(bounds, dtype=np.int64)
     peel_order, core = peel(probe_rows, n_cols)
-    core_pivots: list[int] = []
-    core_rows = np.zeros((0, len(core)), dtype=bool)
-    if core:
-        solved = _solve_core(
-            _core_rows(probe_rows, core), [1 << t for t in range(len(core))], len(core)
-        )
+    core = np.array(core, dtype=np.int64)
+    cuts = np.searchsorted(core, bounds)  # segment s's core rows: core[cuts[s]:cuts[s + 1]]
+    failed: list[int] = []
+    pivots: list[int] = []
+    terms, counts = [core[:0]], [core[:0]]
+    for s in np.flatnonzero(np.diff(cuts)).tolist():
+        rows = core[cuts[s] : cuts[s + 1]]
+        c = len(rows)
+        solved = _solve_core(_core_rows(probe_rows, rows), [1 << t for t in range(c)], c)
         if solved is None:
-            return None
-        core_pivots, entries = solved
-        core_rows = _bits(_words(entries, words_for(len(core))), len(core)).view(bool)
-    return XorReduction(probe_rows, n_cols, peel_order, core, core_pivots, core_rows)
+            failed.append(s)
+            continue
+        marks = _bits(_words(solved[1], words_for(c)), c)
+        pivots += solved[0]
+        terms.append(rows[np.nonzero(marks)[1]])
+        counts.append(marks.sum(axis=1, dtype=np.int64))
+    if failed:
+        seg_of = np.searchsorted(bounds, peel_order.rows, side="right") - 1
+        peel_order = peel_order.restricted(~np.isin(seg_of, failed))
+    counts_all = np.concatenate(counts)
+    return XorReduction(
+        probe_rows, n_cols, failed, peel_order, np.array(pivots, dtype=np.int64),
+        np.concatenate(terms), np.cumsum(counts_all) - counts_all,
+    )
+

@@ -100,18 +100,23 @@ def random_weight_k_entries(
 
 @contextlib.contextmanager
 def failing_reductions(*calls: int):
-    """Blocked builds inside see their ``calls``-th block reductions (1-based) fail.
+    """Blocked builds inside see their ``calls``-th block segments (1-based) fail.
 
-    The other calls reduce as usual, so the chosen blocks overflow to the
-    secondary whatever their rank, exercising the compensation path.
+    The chosen segments' rows are emptied, and an empty row is dependent, so
+    those blocks overflow to the secondary whatever their rank.  The other
+    segments reduce as usual, exercising the compensation path.
     """
-    real = blocked.reduce_xor_system
+    real = blocked.reduce_segments
     count = 0
 
-    def fake(rows, n_cols):
+    def fake(rows, n_cols, bounds):
         nonlocal count
-        count += 1
-        return None if count in calls else real(rows, n_cols)
+        rows = rows.tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            count += 1
+            if count in calls:
+                rows[lo:hi] = [()] * (hi - lo)
+        return real(rows, n_cols, bounds)
 
-    with mock.patch.object(blocked, "reduce_xor_system", fake):
+    with mock.patch.object(blocked, "reduce_segments", fake):
         yield

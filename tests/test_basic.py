@@ -5,15 +5,8 @@ import numpy as np
 import pytest
 
 from xorfunc import serial
-from xorfunc.basic import (
-    RetrievalStructure,
-    build,
-    compress,
-    query,
-    query_compressed,
-    verify,
-)
-from xorfunc.errors import DuplicateKeys, KTooLarge, PivotMismatch, RandomnessExhausted
+from xorfunc.basic import RetrievalStructure, build, query, verify
+from xorfunc.errors import DuplicateKeys, KTooLarge, RandomnessExhausted
 
 
 def make_pairs(n, r=8, tag=b"key"):
@@ -150,59 +143,6 @@ def test_mean_attempts_near_one_below_threshold():
         d = build([(k, 5) for k in keys], r=4, k=3, delta=0.25, seed=seed)
         attempts.append(d.seed_generation + 1)
     assert sum(attempts) / len(attempts) <= 1.3
-
-
-def test_compress_all_columns_pivots():
-    table = np.array([3, 1, 4, 1, 5], dtype=np.uint64)
-    d = RetrievalStructure(
-        n=5, m=5, k=2, r=4, delta=0.1, master_seed=1, seed_generation=0,
-        table=table, pivots=(0, 1, 2, 3, 4),
-    )
-    c = compress(d, d.pivots)
-    assert c.membership.rank1(5) == 5
-    assert c.base.tolist() == table.tolist()
-
-
-def test_compress_single_key():
-    d = build([(b"solo", 9)], r=4, k=2, delta=1.0, seed=2)
-    c = compress(d, d.pivots)
-    assert c.membership.rank1(c.m) == 1
-    assert query_compressed(c, b"solo") == 9
-
-
-def test_compressed_queries_match_uncompressed():
-    pairs = make_pairs(2000)
-    d = build(pairs, r=8, k=3, delta=0.25, seed=5)
-    c = compress(d, d.pivots)
-    for key, _ in pairs[:300]:
-        assert query_compressed(c, key) == query(d, key)
-    for i in range(10_000):
-        key = b"nonmember%d" % i
-        assert query_compressed(c, key) == query(d, key)
-
-
-def test_compress_rejects_wrong_pivots():
-    pairs = make_pairs(100)
-    d = build(pairs, r=8, k=3, delta=0.4, seed=6)
-    with pytest.raises(PivotMismatch):
-        compress(d, d.pivots[:-1])
-    wrong = list(d.pivots)
-    outside = next(j for j in range(d.m) if j not in set(wrong) and d.table[j] == 0)
-    # swapping a pivot holding a nonzero entry for a non-pivot column must fail
-    nonzero = [p for p in wrong if d.table[p] != 0]
-    if nonzero:
-        bad = wrong[:]
-        bad[bad.index(nonzero[0])] = outside
-        with pytest.raises(PivotMismatch):
-            compress(d, bad)
-
-
-def test_compress_of_loaded_structure_names_missing_pivots():
-    d = build(make_pairs(100), r=8, k=3, delta=0.4, seed=6)
-    loaded = serial.deserialize(serial.serialize(d))
-    assert loaded.pivots is None
-    with pytest.raises(PivotMismatch, match="freshly built"):
-        compress(loaded, loaded.pivots)
 
 
 def test_empty_build_round_trips():

@@ -113,7 +113,7 @@ PINNED = {
     ('split-share-r64', 10): ('8ac914a677cbad77', '612121c133247d90'),
     ('split-share-r64', 700): ('c5831849a78f8df6', '7f5054b3332b88fb'),
     ('split-share-r64', 3000): ('4b7c7cdc7fd9c53a', 'a8c5c2736b6f08b5'),
-    # systems large enough to peel layer by layer (gf2.LAYERED_PEEL_ROWS)
+    # larger systems: many peeling layers, and many blocks in one stacked solve
     ('basic', 20000): ('5e5f1037aadddf04', '7811ed643f349631'),
     ('blocked', 20000): ('e6b02fffca7d137d', '4d388a2b322ad1ca'),
     ('phf', 20000): ('17f1296bd658ee8d', '2b1ca4bd0343a905'),

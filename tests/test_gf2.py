@@ -1,5 +1,6 @@
 import math
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from xorfunc import gf2
 from xorfunc.gf2 import (
     eliminate,
     pack_probe_rows,
-    reduce_xor_system,
+    reduce_segments,
     solve_xor_system,
     system_full_rank,
 )
@@ -31,6 +32,80 @@ def xor_of(table, row):
     for j in row:
         acc ^= int(table[j])
     return acc
+
+
+def reduce_xor_system(rows, n_cols):
+    """The reduction of the rows as one segment, or None when they are dependent."""
+    reduction = reduce_segments(rows, n_cols, [0, len(rows)])
+    return None if reduction.failed else reduction
+
+
+def core_terms(reduction):
+    """For each core pivot, the rows whose values XOR to its entry."""
+    return np.split(reduction.core_terms, reduction.core_starts[1:])
+
+
+def queue_peel(rows, n_cols):
+    """Peel one column at a time from a first-in-first-out queue: the reference.
+
+    Returns the peeled rows and columns in peel order, the layer bounds
+    (a layer ends when the queue holds just the columns the layer freed)
+    and the core.
+    """
+    deg = [0] * n_cols
+    cxor = [0] * n_cols
+    for i, row in enumerate(rows):
+        for j in row:
+            deg[j] += 1
+            cxor[j] ^= i
+    queue = deque(j for j in range(n_cols) if deg[j] == 1)
+    peeled_rows: list[int] = []
+    peeled_cols: list[int] = []
+    bounds = [0]
+    layer_end = len(queue)  # pops until the queue holds just the next layer
+    peeled = [False] * len(rows)
+    while queue:
+        j = queue.popleft()
+        layer_end -= 1
+        if deg[j] == 1:
+            i = cxor[j]
+            peeled[i] = True
+            peeled_rows.append(i)
+            peeled_cols.append(j)
+            for j2 in rows[i]:
+                deg[j2] -= 1
+                cxor[j2] ^= i
+                if deg[j2] == 1:
+                    queue.append(j2)
+        if not layer_end:
+            if len(peeled_rows) > bounds[-1]:
+                bounds.append(len(peeled_rows))
+            layer_end = len(queue)
+    core = [i for i, done in enumerate(peeled) if not done]
+    return peeled_rows, peeled_cols, bounds, core
+
+
+def queue_solve(rows, values, n_cols):
+    """:func:`solve_xor_system` through the queue peel and a column-at-a-time
+    back-substitution, last peeled first: the reference.  None when rows are dependent."""
+    peeled_rows, peeled_cols, _, core = queue_peel(rows, n_cols)
+    table = [0] * n_cols
+    pivots: list[int] = []
+    if core:
+        vals = [values[i] for i in core]
+        solved = gf2._solve_core([rows[i] for i in core], vals, max(vals).bit_length())
+        if solved is None:
+            return None
+        pivots, entries = solved
+        for j, v in zip(pivots, entries):
+            table[j] = v
+    for i, j in zip(reversed(peeled_rows), reversed(peeled_cols)):
+        acc = values[i]
+        for j2 in rows[i]:
+            if j2 != j:
+                acc ^= table[j2]
+        table[j] = acc
+    return table, pivots + peeled_cols[::-1]
 
 
 def test_rank_identity():
@@ -85,14 +160,13 @@ def test_pseudoinverse_identity():
 def test_pseudoinverse_postcondition_direct_multiply():
     rows = [(0, 1), (1, 2), (0, 1, 2)]  # no column is hit once: all three form the core
     reduction = reduce_xor_system(rows, 3)
-    assert sorted(reduction.core_pivots) == [0, 1, 2]
+    assert sorted(reduction.core_pivots.tolist()) == [0, 1, 2]
     # the rows marked for pivot t XOR to the unit vector of column core_pivots[t]
-    for t, marks in enumerate(reduction.core_rows):
+    for t, marked in enumerate(core_terms(reduction)):
         acc = 0
-        for c, marked in zip(reduction.core, marks):
-            if marked:
-                acc ^= sum(1 << j for j in rows[c])
-        assert acc == 1 << reduction.core_pivots[t]
+        for c in marked:
+            acc ^= sum(1 << j for j in rows[c])
+        assert acc == 1 << int(reduction.core_pivots[t])
 
 
 def test_pseudoinverse_zero_row_is_singular():
@@ -108,13 +182,12 @@ def test_pseudoinverse_random_instances_pivot_columns_exact():
         if reduction is None:
             continue
         built += 1
-        pivots = reduction.core_pivots
-        assert len(set(pivots)) == len(pivots) == len(reduction.core)
-        for t, marks in enumerate(reduction.core_rows):
+        pivots = reduction.core_pivots.tolist()
+        assert len(set(pivots)) == len(pivots) == len(gf2.peel(rows, 35)[1])
+        for t, marked in enumerate(core_terms(reduction)):
             acc = 0
-            for c, marked in zip(reduction.core, marks):
-                if marked:
-                    acc ^= sum(1 << j for j in rows[c])
+            for c in marked:
+                acc ^= sum(1 << j for j in rows[c])
             assert [acc >> b & 1 for b in pivots] == [int(s == t) for s in range(len(pivots))]
 
 
@@ -203,7 +276,7 @@ def test_reduction_solves_like_solve_xor_system():
         assert (reduction is None) == (system_full_rank(rows, n_cols) is None)
         if reduction is None:
             continue
-        cores += bool(reduction.core_pivots)
+        cores += bool(len(reduction.core_pivots))
         for bits in (1, 64):
             values = [rng.getrandbits(bits) for _ in range(n_rows)]
             table, _ = solve_xor_system(rows, values, n_cols)
@@ -272,7 +345,7 @@ def test_small_systems_match_exhaustive_search():
         if not independent:
             seen["dependent"] += 1
             continue
-        seen["core" if reduction.core else "empty core"] += 1
+        seen["core" if len(reduction.core_pivots) else "empty core"] += 1
         table, pivots = solved
         assert [xor_of(table, row) for row in rows] == values
         assert all(table[j] == 0 for j in set(range(n_cols)) - set(pivots))
@@ -307,7 +380,7 @@ def test_dense_core_is_the_unique_solution_on_its_pivots():
             break
     table, pivots = solved
     reduction = reduce_xor_system(rows, m)
-    assert len(reduction.core) > n // 2  # most rows stay in the dense core
+    assert len(reduction.core_pivots) > n // 2  # most rows stay in the dense core
     assert [xor_of(table, row) for row in rows] == values
     assert len(set(pivots)) == n
     assert not table[sorted(set(range(m)) - set(pivots))].any()
@@ -353,7 +426,8 @@ def test_rank_solve_and_reduction_share_pivots():
         _, solve_pivots = solve_xor_system(rows, values, n_cols)
         reduction = reduce_xor_system(rows, n_cols)
         peeled = [j for _, j in reduction.peel_order]
-        assert sorted(pivots) == sorted(solve_pivots) == sorted(peeled + reduction.core_pivots)
+        core_pivots = reduction.core_pivots.tolist()
+        assert sorted(pivots) == sorted(solve_pivots) == sorted(peeled + core_pivots)
 
 
 def _pivot_columns(rows, n_cols):
@@ -400,7 +474,7 @@ def test_core_solution_is_zero_off_the_column_order_pivots(k, delta, bits):
     assert sorted(solve_pivots) == pivots
     assert table.tolist() == [expected.get(j, 0) for j in range(m)]
     reduction = reduce_xor_system(rows, m)
-    assert len(reduction.core) > len(rows) // 2  # the lazy and dense stages both ran
+    assert len(core) > len(rows) // 2  # the lazy and dense stages both ran
     assert reduction.solve(values).tolist() == table.tolist()
 
 
@@ -446,28 +520,29 @@ def _k_sets(k, n, m, seed):
         rows[repeated] = rng.integers(0, m, (int(repeated.sum()), k))
 
 
-# table widths m / n per (k, has_core): without a core every row peels; with
-# one, most rows stay in a core that still has full rank
+# table widths m / n per (k, has_core): from n = 1000 on, without a core every
+# row peels; with one, most rows stay in a core that still has full rank
 WIDTH = {
     (3, False): 1.35, (4, False): 1.40, (5, False): 1.55,
     (3, True): 1.10, (4, True): 1.04, (5, True): 1.03,
 }
 
 
-@pytest.mark.parametrize("n", [1000, 5000, 50000])
+@pytest.mark.parametrize("n", [20, 200, 1000, 5000, 50000])
 @pytest.mark.parametrize("k", [3, 4, 5])
 @pytest.mark.parametrize("has_core", [False, True], ids=["peels", "core"])
 def test_layered_peel_matches_the_queue(n, k, has_core):
     m = math.ceil(WIDTH[k, has_core] * n)
     rows = _k_sets(k, n, m, seed=n + k)
-    queue_order, queue_core = gf2._peel_queue(rows.tolist(), m)
-    assert (len(queue_core) > n // 4) == has_core
+    queue_rows, queue_cols, queue_bounds, queue_core = queue_peel(rows.tolist(), m)
+    if n >= 1000:
+        assert (len(queue_core) > n // 4) == has_core
     for given in (rows, rows.tolist()):
-        order, core = gf2._peel_layers(given, m)
+        order, core = gf2.peel(given, m)
         assert core == queue_core
-        assert order.rows.tolist() == queue_order.rows.tolist()
-        assert order.cols.tolist() == queue_order.cols.tolist()
-        assert order.bounds == queue_order.bounds
+        assert order.rows.tolist() == queue_rows
+        assert order.cols.tolist() == queue_cols
+        assert order.bounds == queue_bounds
     assert list(order) == list(zip(order.rows.tolist(), order.cols.tolist()))
     pivot = np.zeros(m, dtype=bool)
     for lo, hi in zip(order.bounds, order.bounds[1:]):  # a row holds one pivot of its layer
@@ -477,27 +552,76 @@ def test_layered_peel_matches_the_queue(n, k, has_core):
 
 
 @pytest.mark.parametrize("n,k,has_core", [
-    (2000, 3, False), (20000, 4, False), (50000, 5, False),
-    (1500, 3, True), (3000, 4, True), (3000, 5, True),
+    (20, 5, False), (200, 4, False), (2000, 3, False), (20000, 4, False), (50000, 5, False),
+    (20, 4, True), (200, 3, True), (1500, 3, True), (3000, 4, True), (3000, 5, True),
 ])
-def test_layered_solver_matches_the_queue(n, k, has_core, monkeypatch):
+def test_layered_solver_matches_the_queue(n, k, has_core):
     m = math.ceil(WIDTH[k, has_core] * n)
     rows = _k_sets(k, n, m, seed=7 * n + k)
     values = np.random.default_rng(n).integers(0, 1 << 63, n).tolist()
-    assert len(rows) >= gf2.LAYERED_PEEL_ROWS
-
-    def run(given):
+    expected = queue_solve(rows.tolist(), values, m)
+    _, peeled_cols, _, core = queue_peel(rows.tolist(), m)
+    for given in (rows, rows.tolist()):
         solved = solve_xor_system(given, values, m)
         reduction = reduce_xor_system(given, m)
-        return (
-            solved[0].tolist(), solved[1], system_full_rank(given, m),
-            reduction.solve(values).tolist(), reduction.core_pivots,
-        )
+        full_rank = system_full_rank(given, m)
+        assert (solved is None) == (reduction is None) == (full_rank is None) == (expected is None)
+        if expected is None:
+            continue
+        assert (solved[0].tolist(), solved[1]) == expected
+        assert full_rank == peeled_cols + expected[1][: len(core)]
+        assert reduction.solve(values).tolist() == expected[0]
+    assert (expected is None) == ((n, k) == (20, 4))  # one small system is dependent
+    if expected is not None:
+        table, pivots = expected
+        assert all(xor_of(table, row) == v for row, v in zip(rows.tolist(), values))
+        assert sorted(pivots) == sorted(set(pivots)) and len(pivots) == n
 
-    layered = run(rows)
-    assert run(rows.tolist()) == layered
-    monkeypatch.setattr(gf2, "LAYERED_PEEL_ROWS", len(rows) + 1)
-    assert run(rows.tolist()) == layered
-    table, pivots = layered[:2]
-    assert all(xor_of(table, row) == v for row, v in zip(rows.tolist(), values))
-    assert sorted(pivots) == sorted(set(pivots)) and len(pivots) == n
+
+@st.composite
+def segment_layouts(draw):
+    """Segments of random rows over their own few columns, one of them singular.
+
+    Segments may be empty, hold one row, hold more rows than columns, or
+    hold rows with no columns.
+    """
+    segments = []
+    for _ in range(draw(st.integers(0, 5))):
+        n_cols = draw(st.integers(0, 8))
+        row = st.lists(st.integers(0, max(0, n_cols - 1)), max_size=min(4, n_cols), unique=True)
+        segments.append((draw(st.lists(row.map(tuple), max_size=10)), n_cols))
+    singular = ([(0, 1), (1, 2), (0, 2), (2, 3)], 4)  # the first three sum to zero
+    segments.insert(draw(st.integers(0, len(segments))), singular)
+    return segments
+
+
+@given(segment_layouts(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_segments_solve_as_if_alone(segments, rng):
+    rows, bounds, offsets = [], [0], [0]
+    for seg_rows, n_cols in segments:
+        rows += [tuple(offsets[-1] + j for j in row) for row in seg_rows]
+        bounds.append(len(rows))
+        offsets.append(offsets[-1] + n_cols)
+    values = [rng.getrandbits(64) for _ in rows]
+    reduction = reduce_segments(rows, offsets[-1], bounds)
+    table = reduction.solve(values)
+    for s, (seg_rows, n_cols) in enumerate(segments):
+        alone = queue_solve(seg_rows, values[bounds[s] : bounds[s + 1]], n_cols)
+        assert (s in reduction.failed) == (alone is None)
+        expected = [0] * n_cols if alone is None else alone[0]
+        assert table[offsets[s] : offsets[s + 1]].tolist() == expected
+    assert reduction.failed  # the singular segment fails, and fails alone
+
+
+def test_singular_segment_leaves_its_neighbours_solved():
+    # the middle segment's first three rows sum to zero; its last row still peels
+    rows = [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5), (5, 6), (7, 8), (8, 9)]
+    values = [1, 2, 3, 4, 5, 6, 7, 8]
+    reduction = reduce_segments(rows, 10, [0, 2, 6, 8])
+    assert reduction.failed == [1]
+    table = reduction.solve(values)
+    first = queue_solve([(0, 1), (1, 2)], values[:2], 3)[0]
+    last = queue_solve([(0, 1), (1, 2)], values[6:], 3)[0]
+    assert table.tolist() == first + [0, 0, 0, 0] + last
+    assert [xor_of(table, rows[i]) for i in (0, 1, 6, 7)] == [1, 2, 7, 8]

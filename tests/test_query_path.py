@@ -22,7 +22,6 @@ def _builders():
     keys = [key for key, _ in pairs]
     built = {
         "basic": lambda: basic.build(pairs, r=8, seed=1),
-        "compressed": lambda: _compressed(basic.build(pairs, r=8, seed=1)),
         "split-share": lambda: basic.build(pairs, r=8, seed=2, split_share=True),
         "compact": lambda: compact.build_compact(pairs, r=8, seed=3),
         "blocked": lambda: blocked.build_blocked(pairs, r=8, b=16, seed=4),
@@ -40,10 +39,6 @@ def _builders():
     return keys, built
 
 
-def _compressed(d):
-    return basic.compress(d, d.pivots)
-
-
 KEYS, BUILDERS = _builders()
 QUERIES = KEYS[:100] + [b"absent%d" % i for i in range(100)]
 
@@ -53,7 +48,7 @@ def test_queries_construct_no_hasher(kind, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         structure = BUILDERS[kind]()
-    loaded = serial.deserialize(serial.serialize(structure)) if kind != "compressed" else None
+    loaded = serial.deserialize(serial.serialize(structure))
     expected = [structure.query(key) for key in QUERIES]
 
     made = []
@@ -65,19 +60,18 @@ def test_queries_construct_no_hasher(kind, monkeypatch):
 
     monkeypatch.setattr(SeededHasher, "__post_init__", counting)
     for s in (structure, loaded):
-        if s is not None:
-            assert [s.query(key) for key in QUERIES] == expected
+        assert [s.query(key) for key in QUERIES] == expected
     assert made == []
 
 
 def test_basic_views_see_in_place_edits():
     pairs = pairs_of(N)
     d = basic.build(pairs, r=8, seed=1)
-    c = _compressed(d)
-    c.base ^= np.uint64(1)  # every stored entry, and the same ones of the full table
-    d.table[list(d.pivots)] ^= np.uint64(1)
+    pivots = set(d.pivots)
+    d.table[list(pivots)] ^= np.uint64(1)  # every stored entry
     assert any(d.query(key) != value for key, value in pairs)
-    assert all(c.query(key) == d.query(key) for key, _ in pairs)
+    for key, value in pairs:
+        assert d.query(key) == value ^ (len(pivots.intersection(d.probes(key))) & 1)
 
 
 def test_blocked_views_see_in_place_edits():
