@@ -447,11 +447,11 @@ def system_full_rank(probe_rows: Sequence[Sequence[int]], n_cols: int) -> list[i
 
 @dataclass(frozen=True, eq=False)
 class XorReduction:
-    """Segments of a probe system reduced once, to be solved for values given later.
+    """Segments of a probe system (see :func:`reduce_segments`) reduced once,
+    to be solved for values given later.
 
-    Segment s is rows ``bounds[s]:bounds[s + 1]``, and segments share no
-    column.  ``failed`` lists the segments whose rows are dependent; they
-    are left out of :meth:`solve`, so their columns stay zero.  Core pivot
+    ``failed`` lists the segments whose rows are dependent; they are left
+    out of :meth:`solve`, so their columns stay zero.  Core pivot
     column ``core_pivots[t]`` is the XOR of the values of the rows
     ``core_terms[core_starts[t]:core_starts[t + 1]]``: a row of the inverse
     of its segment's core restricted to its pivot columns.  So :meth:`solve`
