@@ -10,6 +10,8 @@ and total table bits per key-bit.
 import argparse
 import time
 
+import numpy as np
+
 from xorfunc.blocked import build_blocked
 
 
@@ -35,10 +37,8 @@ def main() -> None:
         elapsed = time.perf_counter() - start
 
         # recount which overflow keys came from blocks that cannot be full rank
-        sizes = [0] * d.m0
-        for key, _ in pairs:
-            sizes[d.block_of(key)] += 1
-        oversize_keys = sum(s for s in sizes if s > d.segment_len)
+        sizes = np.bincount(d.primary_rows([key for key, _ in pairs])[0], minlength=d.m0)
+        oversize_keys = int(sizes[sizes > d.segment_len].sum())
         singular_keys = d.overflow_count - oversize_keys
         print(
             f"{n},{elapsed:.2f},{d.overflow_fraction:.4f},"

@@ -37,7 +37,6 @@ from .errors import (
     RandomnessExhausted,
     UnsupportedVersion,
     XorFuncError,
-    ZeroRange,
 )
 from .filters import (
     BackendParams,

@@ -21,13 +21,13 @@ from .errors import DuplicateKeys, KTooLarge, RandomnessExhausted
 from .gf2 import reduce_segments, solve_xor_system
 from .hashing import (
     ROLE_PROBE,
-    ChunkHasher,
     SeededHasher,
     SplitShareTables,
     distinct_k_rows,
     distinct_k_set,
-    probe_hashers,
+    fn_index,
     split_and_share,
+    split_share_value,
 )
 
 DEFAULT_RETRY_CAP = 64  # generations a builder tries: a safety bound, not a knob
@@ -99,20 +99,20 @@ class RetrievalStructure(Retrieval):
     master_seed: int
     seed_generation: int
     table: np.ndarray
-    pivots: tuple[int, ...] | None = None
-    _hashers: list[SeededHasher] = field(init=False, repr=False)
+    _hasher: SeededHasher = field(init=False, repr=False)
     _entries: memoryview = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._hashers = probe_hashers(self.master_seed, ROLE_PROBE, self.seed_generation, self.k)
+        index = fn_index(ROLE_PROBE, self.seed_generation)
+        self._hasher = SeededHasher(self.master_seed, index, self.k)
         self._entries = memoryview(self.table)  # reads ints; edits of table show through
 
     def probes(self, key: bytes) -> tuple[int, ...]:
-        return distinct_k_set(key, self.k, self.m, self._hashers)
+        return distinct_k_set(self._hasher.words(key), self.k, self.m)
 
     def probe_rows(self, keys: Sequence[bytes]) -> np.ndarray:
         """:meth:`probes` of every key, as one (len(keys), k) int array."""
-        return distinct_k_rows(keys, self.k, self.m, self._hashers)
+        return distinct_k_rows(self._hasher.word_rows(keys), self.k, self.m)
 
     @property
     def table_bits(self) -> int:
@@ -165,9 +165,12 @@ class SplitShareRetrieval(Retrieval):
     def table_bits(self) -> int:
         return self.m * self.r
 
-    def _chunk_hashers(self, chunk: int) -> list[ChunkHasher]:
-        gen = self.chunk_generations[chunk]
-        return [ChunkHasher(self.provider, chunk, gen * self.k + l + 1) for l in range(self.k)]
+    def _chunk_probes(self, chunk: int, digest: int, seg_len: int) -> tuple[int, ...]:
+        """The k probes in its chunk's segment of the key whose digest is ``digest``."""
+        first = self.chunk_generations[chunk] * self.k + 1
+        functions = range(first, first + self.k)  # the chunk's shared functions at its generation
+        words = [split_share_value(self.provider, chunk, j, digest) for j in functions]
+        return distinct_k_set(words, self.k, seg_len)
 
     def query(self, key: bytes) -> int:
         """XOR of k probes in the segment of the key's chunk."""
@@ -177,8 +180,7 @@ class SplitShareRetrieval(Retrieval):
         if seg_len == 0:
             return 0
         acc = 0
-        digest = self.provider.digest(key)
-        for j in distinct_k_set(digest, self.k, seg_len, self._chunk_hashers(ci)):
+        for j in self._chunk_probes(ci, self.provider.digest(key), seg_len):
             acc ^= self._entries[start + j]
         return acc
 
@@ -227,9 +229,7 @@ def build(
         rows = d.probe_rows(keys)
         solved = solve_xor_system(rows, values, m)
         if solved is not None:
-            table, pivots = solved
-            d.table[:] = table
-            d.pivots = tuple(sorted(pivots))
+            d.table[:] = solved[0]
             return d
     raise RandomnessExhausted(f"no full-rank system within {DEFAULT_RETRY_CAP} generations")
 
@@ -261,8 +261,7 @@ def _build_split_share(
         rows: list[tuple[int, ...]] = []
         for ci in pending:
             d.chunk_generations[ci] = gen
-            hashers = d._chunk_hashers(ci)
-            rows += [distinct_k_set(digests[i], k, seg_lens[ci], hashers) for i in chunks[ci]]
+            rows += [d._chunk_probes(ci, digests[i], seg_lens[ci]) for i in chunks[ci]]
         sizes = [len(chunks[ci]) for ci in pending]
         stacked = np.array(rows, dtype=np.int64) + np.repeat(offsets[pending], sizes)[:, None]
         reduction = reduce_segments(stacked, d.m, np.cumsum([0] + sizes))

@@ -1,6 +1,7 @@
 """Blocked retrieval: per-block single-attempt solves plus an overflow structure.
 
-Keys are split into blocks of expected size b.  Each block owns a segment of
+Word 0 of a key's k + 1 primary words picks its block, of expected size b,
+and words 1..k its probes there.  Each block owns a segment of
 ``segment_len = ceil((1 + delta) * b_prime)`` primary columns, where
 ``b_prime = ceil((1 + eps) * b)``, and gets one solve attempt when its key
 count fits the segment.  Blocks whose rows are dependent (always so with more
@@ -28,12 +29,10 @@ from .gf2 import system_full_rank  # noqa: F401  perfbench/layertrace.py patches
 from .hashing import (
     ROLE_PROBE,
     ROLE_SECONDARY,
-    ROLE_SPLIT,
     SeededHasher,
     distinct_k_rows,
     distinct_k_set,
     fn_index,
-    probe_hashers,
 )
 
 SECONDARY_K = 3
@@ -65,17 +64,15 @@ class BlockedRetrieval(Retrieval):
     overflow_count: int
     primary: np.ndarray
     secondary: np.ndarray
-    _splitter: SeededHasher = field(init=False, repr=False)
-    _primary_hashers: list[SeededHasher] = field(init=False, repr=False)
-    _secondary_hashers: list[SeededHasher] = field(init=False, repr=False)
+    _primary_hasher: SeededHasher = field(init=False, repr=False)
+    _secondary_hasher: SeededHasher = field(init=False, repr=False)
     _primary_entries: memoryview = field(init=False, repr=False)
     _secondary_entries: memoryview = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._splitter = SeededHasher(self.master_seed, fn_index(ROLE_SPLIT))
-        self._primary_hashers = probe_hashers(self.master_seed, ROLE_PROBE, 0, self.k)
-        self._secondary_hashers = probe_hashers(
-            self.master_seed, ROLE_SECONDARY, self.secondary_generation, SECONDARY_K
+        self._primary_hasher = SeededHasher(self.master_seed, fn_index(ROLE_PROBE), self.k + 1)
+        self._secondary_hasher = SeededHasher(
+            self.master_seed, fn_index(ROLE_SECONDARY, self.secondary_generation), SECONDARY_K
         )
         self._primary_entries = memoryview(self.primary)
         self._secondary_entries = memoryview(self.secondary)
@@ -96,29 +93,28 @@ class BlockedRetrieval(Retrieval):
     def table_bits(self) -> int:
         return (len(self.primary) + len(self.secondary)) * self.r
 
-    def block_of(self, key: bytes) -> int:
-        return self._splitter.hash_to_range(key, self.m0)
-
-    def blocks_of(self, keys: Sequence[bytes]) -> np.ndarray:
-        """:meth:`block_of` of every key, as an int array."""
-        return distinct_k_rows(keys, 1, self.m0, [self._splitter])[:, 0]
-
-    def primary_rows(self, keys: Sequence[bytes]) -> np.ndarray:
-        """Every key's k probes within its segment, as an (len(keys), k) int array."""
-        return distinct_k_rows(keys, self.k, self.segment_len, self._primary_hashers)
+    def primary_rows(self, keys: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray]:
+        """Every key's block, as an int array, and its k probes within the
+        block's segment, as an (len(keys), k) int array."""
+        words = self._primary_hasher.word_rows(keys)
+        blocks = (words[:, 0] % np.uint64(self.m0)).astype(np.int64)
+        return blocks, distinct_k_rows(words[:, 1:], self.k, self.segment_len)
 
     def secondary_rows(self, keys: Sequence[bytes]) -> np.ndarray:
         """Every key's probes into the secondary, as an (len(keys), 3) int array."""
-        return distinct_k_rows(keys, SECONDARY_K, self.secondary_len, self._secondary_hashers)
+        words = self._secondary_hasher.word_rows(keys)
+        return distinct_k_rows(words, SECONDARY_K, self.secondary_len)
 
     def query(self, key: bytes) -> int:
         """XOR of k probes in the key's segment and 3 probes in the secondary."""
-        base = self.block_of(key) * self.segment_len
+        words = self._primary_hasher.words(key)
+        base = words[0] % self.m0 * self.segment_len
         acc = 0
-        for j in distinct_k_set(key, self.k, self.segment_len, self._primary_hashers):
+        for j in distinct_k_set(words[1:], self.k, self.segment_len):
             acc ^= self._primary_entries[base + j]
         if self.secondary_len:
-            for j in distinct_k_set(key, SECONDARY_K, self.secondary_len, self._secondary_hashers):
+            words = self._secondary_hasher.words(key)
+            for j in distinct_k_set(words, SECONDARY_K, self.secondary_len):
                 acc ^= self._secondary_entries[j]
         return acc
 
@@ -172,14 +168,14 @@ def build_blocked(
     )
     keys = [key for key, _ in items]
     values = np.array([v for _, v in items], dtype=np.uint64)
-    block = d.blocks_of(keys)
+    block, probes = d.primary_rows(keys)
     sizes = np.bincount(block, minlength=m0)
     by_block = np.argsort(block, kind="stable")  # key positions block by block, in key order
     # more rows than segment columns can never have full rank: such blocks get no rows
     fits = (0 < sizes) & (sizes <= segment_len)
     admitted = by_block[fits[block[by_block]]]
-    rows = d.primary_rows([keys[i] for i in admitted])
-    rows += (block[admitted] * segment_len)[:, None]  # segment columns to primary columns
+    rows = probes[admitted] + (block[admitted] * segment_len)[:, None]  # to primary columns
+    del probes
     bounds = np.concatenate(([0], np.cumsum(sizes[fits])))
     reduction = reduce_segments(rows, len(d.primary), bounds)
     solves = fits.copy()
@@ -222,16 +218,14 @@ def probe_plan(d: BlockedRetrieval, key: bytes) -> tuple[int, ...]:
     """Absolute offsets into the concatenated primary+secondary table.
 
     The plan is a pure function of seeds and key, so all lookups can issue in
-    parallel.  With an empty secondary only the k primary offsets exist.
+    parallel.  With an empty secondary only the k primary offsets exist.  It
+    comes from the batch rows, so :func:`gather_query` checks them against
+    the per-key :meth:`BlockedRetrieval.query`.
     """
-    base = d.block_of(key) * d.segment_len
-    plan = [base + j for j in distinct_k_set(key, d.k, d.segment_len, d._primary_hashers)]
+    blocks, probes = d.primary_rows([key])
+    plan = (probes[0] + blocks[0] * d.segment_len).tolist()
     if d.secondary_len:
-        shift = d.m0 * d.segment_len
-        plan.extend(
-            shift + j
-            for j in distinct_k_set(key, SECONDARY_K, d.secondary_len, d._secondary_hashers)
-        )
+        plan += (d.secondary_rows([key])[0] + d.m).tolist()
     return tuple(plan)
 
 

@@ -4,7 +4,8 @@ Row weights are drawn per key from a binomial conditioned on
 [ceil(ln(n)/2), floor(4 ln n)], which keeps the square random matrix regular
 with probability near prod(1 - 2^-i) ~ 0.28879 per attempt.  The index of
 the successful hash-function set is recorded; everything else about the
-structure is the n*r-bit table itself.
+structure is the n*r-bit table itself.  A key's k(x) probe words come from
+one hasher of width k(x), so ceil(k(x) / 8) digests.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .hashing import (
     build_binomial_table,
     distinct_k_set,
     fn_index,
-    probe_hashers,
     sample_conditioned,
 )
 
@@ -56,16 +56,16 @@ class CompactRetrieval(Retrieval):
     binom: ConditionedBinomialTable
     table: np.ndarray
     _weight_hasher: SeededHasher = field(init=False, repr=False)
-    _probe_hashers: list[SeededHasher] = field(init=False, repr=False)
+    _probe_hashers: dict[int, SeededHasher] = field(init=False, repr=False)
     _entries: memoryview = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._weight_hasher = SeededHasher(
             self.master_seed, fn_index(ROLE_WEIGHT, self.seed_index)
         )
-        self._probe_hashers = probe_hashers(
-            self.master_seed, ROLE_PROBE, self.seed_index, self.binom.hi
-        )
+        index = fn_index(ROLE_PROBE, self.seed_index)
+        widths = range(self.binom.lo, self.binom.hi + 1)  # the probe counts a key can draw
+        self._probe_hashers = {k: SeededHasher(self.master_seed, index, width=k) for k in widths}
         self._entries = memoryview(self.table)
 
     @property
@@ -76,7 +76,8 @@ class CompactRetrieval(Retrieval):
         return sample_conditioned(self.binom, key, self._weight_hasher)
 
     def probes(self, key: bytes) -> tuple[int, ...]:
-        return distinct_k_set(key, self.probe_count(key), self.n, self._probe_hashers)
+        k = self.probe_count(key)
+        return distinct_k_set(self._probe_hashers[k].words(key), k, self.n)
 
     @property
     def table_bits(self) -> int:
@@ -85,7 +86,7 @@ class CompactRetrieval(Retrieval):
     def query(self, key: bytes) -> int:
         """Stored value on construction keys; some r-bit value for any other key."""
         acc = 0
-        for j in distinct_k_set(key, self.probe_count(key), self.n, self._probe_hashers):
+        for j in self.probes(key):
             acc ^= self._entries[j]
         return acc
 

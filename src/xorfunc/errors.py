@@ -5,10 +5,6 @@ class XorFuncError(Exception):
     """Base class for all library errors."""
 
 
-class ZeroRange(XorFuncError):
-    """A hash range of zero was requested."""
-
-
 class KTooLarge(XorFuncError):
     """Asked for more distinct values than the range holds (k > m)."""
 

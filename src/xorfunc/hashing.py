@@ -1,10 +1,13 @@
 """Seeded simulation of fully random hash functions and derived samplers.
 
-Every hash function in the package is a keyed blake2b PRF addressed by
-``(master_seed, function_index)``; distinct function indices use independent
-keying, so one 64-bit master seed yields an unbounded family of functions
-that is deterministic across processes.  Function indices are composed from a
-role tag, a retry generation, and a slot so the builders never collide.
+Every hash function in the package is a blake2b PRF salted with
+``(master_seed, function_index)``, so one 64-bit master seed yields an
+unbounded family of independent functions, deterministic across processes.
+A hasher of width w gives w 64-bit words per key, one digest per 8 words
+with the block number in blake2b's ``person``: a structure takes all of a
+key's probe words of one role from one call, as the xor filter does
+(arXiv:1912.08258).  Function indices are composed from a role tag, a retry
+generation, and a slot so the builders never collide.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptySupport, IndexOutOfRange, KTooLarge, RandomnessExhausted, ZeroRange
+from .errors import EmptySupport, IndexOutOfRange, KTooLarge, RandomnessExhausted
 
 MASK64 = (1 << 64) - 1
 _PRIME61 = (1 << 61) - 1
@@ -28,7 +31,7 @@ _FIXED_ONE = 1 << 64
 # role tags for function_index composition
 ROLE_PROBE = 0  # probe-set functions of the retrieval structures
 ROLE_WEIGHT = 1  # per-key row-weight sampler (square structure)
-ROLE_SPLIT = 2  # block / chunk splitter
+ROLE_SPLIT = 2  # split-and-share chunk splitter
 ROLE_SECONDARY = 3  # overflow-structure probes
 ROLE_SIGNATURE = 4  # membership signatures
 ROLE_SHARE_BASE = 5  # split-and-share key digest
@@ -49,38 +52,63 @@ def fn_index(role: int, generation: int = 0, slot: int = 0) -> int:
 
 @dataclass(frozen=True)
 class SeededHasher:
-    """One member of the simulated fully random family."""
+    """One member of the simulated fully random family, ``width`` words per key."""
 
     master_seed: int
     function_index: int
-    _prf: "hashlib.blake2b" = field(init=False, repr=False, compare=False)
+    width: int = 1
+    _protos: tuple = field(init=False, repr=False, compare=False)
+    _unpack: Callable[[bytes], tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        key = struct.pack("<QQ", self.master_seed & MASK64, self.function_index & MASK64)
-        # keying blake2b costs more than copying a keyed one, so each call copies this
-        object.__setattr__(self, "_prf", hashlib.blake2b(digest_size=8, key=key))
+        if self.width < 1:
+            raise ValueError("width must be >= 1")
+        salt = struct.pack("<QQ", self.master_seed & MASK64, self.function_index & MASK64)
+        sizes = [8 * min(8, self.width - first) for first in range(0, self.width, 8)]
+        # salting blake2b costs more than copying a salted one, so each call copies these
+        protos = tuple(
+            hashlib.blake2b(digest_size=size, salt=salt, person=struct.pack("<Q", block))
+            for block, size in enumerate(sizes)
+        )
+        object.__setattr__(self, "_protos", protos)
+        object.__setattr__(self, "_unpack", struct.Struct(f"<{self.width}Q").unpack)
 
     def u64(self, key: bytes) -> int:
-        h = self._prf.copy()
+        """The key's first word: the one-word draw of a width-1 hasher."""
+        h = self._protos[0].copy()
         h.update(key)
-        return int.from_bytes(h.digest(), "little")
+        return int.from_bytes(h.digest()[:8], "little")
 
-    def hash_to_range(self, key: bytes, range_: int) -> int:
-        if range_ < 1:
-            raise ZeroRange(f"range {range_} < 1")
-        return self.u64(key) % range_
+    def words(self, key: bytes) -> tuple[int, ...]:
+        """The key's ``width`` 64-bit words."""
+        if len(self._protos) == 1:  # the common case, without the loop of _digest
+            h = self._protos[0].copy()
+            h.update(key)
+            return self._unpack(h.digest())
+        return self._unpack(self._digest(key))
+
+    def word_rows(self, keys: Sequence[bytes]) -> np.ndarray:
+        """:meth:`words` of every key, as one (len(keys), width) uint64 array."""
+        n = len(keys)
+        raw = np.fromiter(map(self._digest, keys), dtype=f"V{8 * self.width}", count=n)
+        return raw.view("<u8").astype(np.uint64, copy=False).reshape(n, self.width)
+
+    def _digest(self, key: bytes) -> bytes:
+        """The key's ``8 * width`` bytes: its digests, in block order."""
+        out = b""
+        for proto in self._protos:
+            h = proto.copy()
+            h.update(key)
+            out += h.digest()
+        return out
 
 
-def probe_hashers(seed: int, role: int, generation: int, count: int) -> list[SeededHasher]:
-    return [SeededHasher(seed, fn_index(role, generation, s)) for s in range(count)]
-
-
-def distinct_k_set(key: bytes | int, k: int, m: int, hashers: Sequence) -> tuple[int, ...]:
-    """Ordered sequence of k distinct indices in [m], uniform over draws.
+def distinct_k_set(words: Sequence[int], k: int, m: int) -> tuple[int, ...]:
+    """Ordered sequence of k distinct indices in [m] from a key's first k words.
 
     Simulates the swap-to-the-back shuffle on a virtual array without
-    materializing it: a small map records displaced values, giving expected
-    O(k) time per key.
+    materializing it: step t draws ``words[t] % (m - t)``, and a small map
+    records displaced values, giving expected O(k) time per key.
     """
     if k > m:
         raise KTooLarge(f"k={k} exceeds range m={m}")
@@ -89,42 +117,42 @@ def distinct_k_set(key: bytes | int, k: int, m: int, hashers: Sequence) -> tuple
     displaced: dict[int, int] = {}
     out = []
     for step in range(k):
-        g = hashers[step].hash_to_range(key, m - step)
+        g = words[step] % (m - step)
         top = m - 1 - step
         out.append(displaced.get(g, g))
         displaced[g] = displaced.get(top, top)
     return tuple(out)
 
 
-def distinct_k_rows(keys: Sequence[bytes], k: int, m: int, hashers: Sequence) -> np.ndarray:
-    """:func:`distinct_k_set` of every key at once, as an (len(keys), k) int64 array.
+def distinct_k_rows(words: np.ndarray, k: int, m: int) -> np.ndarray:
+    """:func:`distinct_k_set` of every row of a uint64 word array at once, as an
+    (len(words), k) int64 array.
 
-    Each hasher makes one pass over the keys through ``SeededHasher.u64``;
-    the swap-to-the-back shuffle then runs on whole columns, replaying the
-    displaced-value writes of earlier steps in order so the last write wins.
+    The swap-to-the-back shuffle runs on whole columns, replaying the
+    displaced-value writes of earlier steps in order so the last write wins;
+    the reduction stays exact uint64 arithmetic.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = len(keys)
+    n = len(words)
     out = np.empty((n, k), dtype=np.int64)
     if not n:
         return out
     if k > m:
         raise KTooLarge(f"k={k} exceeds range m={m}")
-    moved_from = np.empty((n, k), dtype=np.int64)  # step t's draw, a position it swapped out
-    moved_to = np.empty((n, k), dtype=np.int64)  # the value step t left at that position
+    moved_from = np.empty((n, k - 1), dtype=np.int64)  # step t's draw, a position it swapped out
+    moved_to = np.empty((n, k - 1), dtype=np.int64)  # the value step t left there (not the last)
     for step in range(k):
-        u64 = hashers[step].u64
-        words = np.fromiter((u64(key) for key in keys), dtype=np.uint64, count=n)
-        g = (words % np.uint64(m - step)).astype(np.int64)
+        g = (words[:, step] % np.uint64(m - step)).astype(np.int64)
         got = g
         top = np.full(n, m - 1 - step, dtype=np.int64)
         for t in range(step):
             got = np.where(moved_from[:, t] == g, moved_to[:, t], got)
             top = np.where(moved_from[:, t] == m - 1 - step, moved_to[:, t], top)
         out[:, step] = got
-        moved_from[:, step] = g
-        moved_to[:, step] = top
+        if step < k - 1:  # no later step reads the last one's swap
+            moved_from[:, step] = g
+            moved_to[:, step] = top
     return out
 
 
@@ -269,7 +297,7 @@ class SplitShareTables:
         self._base = SeededHasher(self.master_seed, fn_index(ROLE_SHARE_BASE))
 
     def chunk_of(self, key: bytes) -> int:
-        return self._splitter.hash_to_range(key, self.num_chunks)
+        return self._splitter.u64(key) % self.num_chunks
 
     def digest(self, key: bytes) -> int:
         return self._base.u64(key)
@@ -405,23 +433,3 @@ def split_share_value(tables: SplitShareTables, chunk: int, j: int, digest: int)
     v0, v1 = pair.values(digest)
     t0, t1 = tables.tables[j - 1]
     return shared_pair_value(t0, t1, v0, v1, tables.t)
-
-
-class ChunkHasher:
-    """Adapter exposing one simulated chunk function as a SeededHasher-alike.
-
-    It is handed the key's digest (``tables.digest(key)``) in place of the
-    key, so the k probes of a key share one PRF call.
-    """
-
-    __slots__ = ("tables", "chunk", "j")
-
-    def __init__(self, tables: SplitShareTables, chunk: int, j: int):
-        self.tables = tables
-        self.chunk = chunk
-        self.j = j
-
-    def hash_to_range(self, digest: int, range_: int) -> int:
-        if range_ < 1:
-            raise ZeroRange(f"range {range_} < 1")
-        return split_share_value(self.tables, self.chunk, self.j, digest) % range_

@@ -27,7 +27,7 @@ from .errors import RandomnessExhausted
 from .filters import LOG2_E  # bits/key that any minimal perfect hash needs as n grows
 from .gf2 import solve_xor_system
 from .gf2 import system_full_rank  # noqa: F401  perfbench/layertrace.py patches it here
-from .hashing import ROLE_PROBE, SeededHasher, distinct_k_rows, distinct_k_set, probe_hashers
+from .hashing import ROLE_PROBE, SeededHasher, distinct_k_rows, distinct_k_set, fn_index
 
 _INF = -1
 
@@ -102,19 +102,20 @@ class PerfectHash:
     seed_generation: int
     lambda_table: np.ndarray
     pivots: tuple[int, ...] | None = None  # the matched image, sorted; not serialized
-    _hashers: list[SeededHasher] = field(init=False, repr=False)
+    _hasher: SeededHasher = field(init=False, repr=False)
     _selectors: memoryview = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._hashers = probe_hashers(self.master_seed, ROLE_PROBE, self.seed_generation, self.k)
+        index = fn_index(ROLE_PROBE, self.seed_generation)
+        self._hasher = SeededHasher(self.master_seed, index, self.k)
         self._selectors = memoryview(self.lambda_table)
 
     def probes(self, key: bytes) -> tuple[int, ...]:
-        return distinct_k_set(key, self.k, self.m, self._hashers)
+        return distinct_k_set(self._hasher.words(key), self.k, self.m)
 
     def probe_rows(self, keys: Sequence[bytes]) -> np.ndarray:
         """:meth:`probes` of every key, as one (len(keys), k) int array."""
-        return distinct_k_rows(keys, self.k, self.m, self._hashers)
+        return distinct_k_rows(self._hasher.word_rows(keys), self.k, self.m)
 
     @property
     def table_bits(self) -> int:
@@ -126,7 +127,7 @@ class PerfectHash:
 
     def query(self, key: bytes) -> int:
         """Injective on construction keys; some position in [m] for any other key."""
-        probes = distinct_k_set(key, self.k, self.m, self._hashers)
+        probes = distinct_k_set(self._hasher.words(key), self.k, self.m)
         selector = 0
         for j in probes:
             selector ^= self._selectors[j]

@@ -15,14 +15,16 @@ in the kind-specific block.  Derived data (rank indexes, binomial tables,
 shared hash tables, the minimal perfect hash's image bitvector) is rebuilt
 on load.
 
-Each kind is read at exactly one version byte.  Kinds 1-6 are at version 1.
-Kind 7 is at version 2: its payload is the selector table, then the
-Elias-Fano list of the c = m - n slots outside the image (Vigna,
-arXiv:1206.4300): c low parts of l = floor(log2(m / c)) bits, then
-c + ((m - 1) >> l) + 1 high bits, where the i-th value sets bit
-(value >> l) + i.  An empty list takes no bits.  Where the list would take
-m bits or more (c above about m / 4), the image is one bit per slot, as
-version 1 stored it at every size.
+Each kind is read at exactly one version byte: 2 for kinds 1-6, 3 for kind
+7.  The earlier bytes (1, and 2 for kind 7) hashed each probe with its own
+keyed blake2b call, not one salted digest per key and role (see
+:mod:`xorfunc.hashing`), so they raise ``UnsupportedVersion``.  Kind 7's
+payload is the selector table, then the Elias-Fano list of the c = m - n
+slots outside the image (Vigna, arXiv:1206.4300): c low parts of
+l = floor(log2(m / c)) bits, then c + ((m - 1) >> l) + 1 high bits, where
+the i-th value sets bit (value >> l) + i.  An empty list takes no bits.
+Where the list would take m bits or more (c above about m / 4), the image
+is one bit per slot.
 
 Each kind has one encoder and one decoder.  A decoder checks every count it
 reads against the payload length and the kind-specific length before it
@@ -53,8 +55,8 @@ from .hashing import (
 )
 
 MAGIC = b"SDR1"
-VERSION = 1
-KIND_VERSIONS = {7: 2}  # kind code -> version byte, where it is not VERSION
+VERSION = 2
+KIND_VERSIONS = {7: 3}  # kind code -> version byte, where it is not VERSION
 
 _FIXED_HEADER = struct.Struct("<4sBBBBBQQQII")
 
@@ -167,7 +169,7 @@ def _decode_basic(h: _Header, ks: bytes, bits: np.ndarray):
         _require(len(ks) == struct.calcsize("<dB"), "kind-specific length")
         return basic.RetrievalStructure(
             n=h.n, m=h.m, k=h.k, r=h.r, delta=delta, master_seed=h.seed,
-            seed_generation=h.generation, table=_entries(bits, h.m, h.r), pivots=None,
+            seed_generation=h.generation, table=_entries(bits, h.m, h.r),
         )
     off = struct.calcsize("<dB")
     num_chunks, r_tab, t, splitter_gen, max_chunk = _unpack(_SPLIT_HEAD, ks, off)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DomainError
 from .gf2 import system_full_rank
-from .hashing import ROLE_PROBE, distinct_k_set, probe_hashers
+from .hashing import ROLE_PROBE, SeededHasher, distinct_k_set, fn_index
 
 _GRID_POINTS = 1024
 _GOLDEN_STEPS = 64
@@ -140,8 +140,8 @@ def rank_mc_gf2(n: int, m: int, k: int, trials: int, seed: int = 0) -> RankExper
     full = 0
     row_keys = [str(i).encode() for i in range(n)]
     for trial in range(trials):
-        hashers = probe_hashers(seed, ROLE_PROBE, trial, k)
-        rows = [distinct_k_set(key, k, m, hashers) for key in row_keys]
+        words = SeededHasher(seed, fn_index(ROLE_PROBE, trial), width=k).words
+        rows = [distinct_k_set(words(key), k, m) for key in row_keys]
         if system_full_rank(rows, m) is not None:
             full += 1
     return RankExperiment(n=n, m=m, k=k, trials=trials, full_rank_count=full, field="gf2")
@@ -209,11 +209,11 @@ def rank_mc_weighted(
     full = 0
     row_keys = [str(i).encode() for i in range(n)]
     for trial in range(trials):
-        hashers = probe_hashers(seed, ROLE_PROBE, trial, k)
+        words = SeededHasher(seed, fn_index(ROLE_PROBE, trial), width=k).words
         rng = np.random.default_rng((seed & 0xFFFFFFFF, trial))
         mat = np.zeros((n, m), dtype=np.int64)
         for i, key in enumerate(row_keys):
-            probes = list(distinct_k_set(key, k, m, hashers))
+            probes = list(distinct_k_set(words(key), k, m))
             if plant and i not in probes:
                 probes[-1] = i
             if identity_weights:

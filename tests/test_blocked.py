@@ -55,14 +55,13 @@ def test_overflow_is_exactly_the_singular_blocks():
     pairs = make_pairs(20_000)
     d = build_blocked(pairs, r=8, k=3, eps=0.10, delta=0.30, b=64, seed=1)
     blocks = {}
-    for key, _ in pairs:
-        blocks.setdefault(d.block_of(key), []).append(key)
+    for block, probes in zip(*d.primary_rows([key for key, _ in pairs])):
+        blocks.setdefault(int(block), []).append(probes.tolist())
     singular, admitted_large = 0, 0
-    for keys in blocks.values():
-        rows = [distinct_k_set(key, d.k, d.segment_len, d._primary_hashers) for key in keys]
+    for rows in blocks.values():
         if system_full_rank(rows, d.segment_len) is None:
-            singular += len(keys)
-        elif len(keys) > d.b_prime:
+            singular += len(rows)
+        elif len(rows) > d.b_prime:
             admitted_large += 1
     assert admitted_large > 0  # b_prime sizes the segment; it does not cap a block
     assert d.overflow_count == singular
@@ -78,7 +77,7 @@ def test_probe_plan_shape_and_gather_equivalence():
         plan = probe_plan(d, key)
         assert len(plan) == 6
         assert plan == probe_plan(d, key)  # pure function of seeds and key
-        seg_base = d.block_of(key) * d.segment_len
+        seg_base = int(d.primary_rows([key])[0][0]) * d.segment_len
         for off in plan[:3]:
             assert seg_base <= off < seg_base + d.segment_len
         assert gather_query(d, key, table) == query_blocked(d, key)
@@ -89,12 +88,10 @@ def test_failed_block_key_answered_by_secondary_term():
     with failing_reductions(1, 2):
         d = build_blocked(pairs, r=8, k=3, eps=0.10, delta=0.30, b=32, seed=3)
     key, value = pairs[0]
-    base = d.block_of(key) * d.segment_len
+    base = int(d.primary_rows([key])[0][0]) * d.segment_len
     assert not d.primary[base : base + d.segment_len].any()
     acc = 0
-    from xorfunc.hashing import distinct_k_set
-
-    for j in distinct_k_set(key, 3, d.secondary_len, d._secondary_hashers):
+    for j in d.secondary_rows([key])[0]:
         acc ^= int(d.secondary[j])
     assert acc == value == query_blocked(d, key)
 
@@ -151,10 +148,11 @@ def test_batch_rows_are_the_per_key_probes():
     d = build_blocked(pairs, r=8, k=3, eps=0.10, delta=0.30, b=32, seed=5)
     assert d.secondary_len
     keys = [key for key, _ in pairs] + [b"", b"q" * 150]
-    assert d.blocks_of(keys).tolist() == [d.block_of(key) for key in keys]
-    assert d.primary_rows(keys).tolist() == [
-        list(distinct_k_set(key, d.k, d.segment_len, d._primary_hashers)) for key in keys
-    ]
+    blocks, rows = d.primary_rows(keys)
+    primary = [d._primary_hasher.words(key) for key in keys]
+    assert blocks.tolist() == [words[0] % d.m0 for words in primary]
+    assert rows.tolist() == [list(distinct_k_set(w[1:], d.k, d.segment_len)) for w in primary]
+    secondary = [d._secondary_hasher.words(key) for key in keys]
     assert d.secondary_rows(keys).tolist() == [
-        list(distinct_k_set(key, 3, d.secondary_len, d._secondary_hashers)) for key in keys
+        list(distinct_k_set(words, 3, d.secondary_len)) for words in secondary
     ]

@@ -65,58 +65,58 @@ CASES = {
 
 # (container SHA-256, answers SHA-256), first 16 hex digits each
 PINNED = {
-    ('basic', 10): ('ccffb66002dd37af', '2db75d047eb7d01e'),
-    ('basic', 700): ('11436e76a5b3e03a', '77a3494f67cee5e9'),
-    ('basic', 3000): ('c0dd0daac7fb8fd0', '27236a75b4906144'),
-    ('basic-r64', 10): ('768e3df24ab6ee17', '0f16407ecdaeffe0'),
-    ('basic-r64', 700): ('59e0752b41916eb6', '9acf48da0127e06a'),
-    ('basic-r64', 3000): ('92a1d4dc33f68fb0', '4c653d0e45f2c2ac'),
-    ('blocked', 10): ('e6e65674b74182c6', '494b8a855ea1c0b1'),
-    ('blocked', 700): ('a3a3cc25b28ccfad', '90fac490877163c1'),
-    ('blocked', 3000): ('6afe8887daeb1f81', '11fcec35fbe275c0'),
-    ('blocked-forced', 10): ('35f489a279ec4da1', '7b64af8e18308144'),
-    ('blocked-forced', 700): ('548cd0e44ac32e0d', '7612e35bdfd2698e'),
-    ('blocked-forced', 3000): ('ff7ddcba0e56894d', '8c0f7f6fb54ec9a8'),
-    ('bloomier-basic', 10): ('1dcb6a736f4e53e4', '89e3c78cd6c38e5d'),
-    ('bloomier-basic', 700): ('f1bd21dcea4368a7', '13039d7d5c19c22c'),
-    ('bloomier-basic', 3000): ('28ec59986111871c', '13039d7d5c19c22c'),
-    ('bloomier-blocked', 10): ('ecf9301b2d1c258d', '89e3c78cd6c38e5d'),
-    ('bloomier-blocked', 700): ('e890d1c9b63bddbe', '13039d7d5c19c22c'),
-    ('bloomier-blocked', 3000): ('6aef8b1ea6b71a23', '4ef64661e8c32723'),
-    ('bloomier-compact', 10): ('c2cc63ad47fd7ca0', '7ff2a78179f2ea07'),
-    ('bloomier-compact', 700): ('7199b9583fa96471', '13039d7d5c19c22c'),
-    ('bloomier-compact', 3000): ('560ef9934505cd6b', 'cdabc4b96a6ea1d1'),
-    ('compact', 10): ('3d8bc6fc60328b28', 'b2d1fc60f6088811'),
-    ('compact', 700): ('0b165c52da0186f9', '3ed59c7f32159a18'),
-    ('compact', 3000): ('80fa74f67a2d8865', 'dd82b59e339e53fb'),
-    ('filter-basic', 10): ('8b2d1b287a04c2da', '6d71173fe02131b2'),
-    ('filter-basic', 700): ('a3e2035b1b1e6ccf', '498687e8706564f4'),
-    ('filter-basic', 3000): ('0607ebd123094b8d', '498687e8706564f4'),
-    ('filter-blocked', 10): ('d890e080158918da', '6d71173fe02131b2'),
-    ('filter-blocked', 700): ('48db7c074c8dac0f', '04ab49d65f4cdda3'),
-    ('filter-blocked', 3000): ('bbcb1ca6ab50e0e1', 'f4d242fd8f8a852e'),
-    ('filter-compact', 10): ('c470fcc85a706103', '6d71173fe02131b2'),
-    ('filter-compact', 700): ('4958d01e54b0616b', 'cb3158340a047eff'),
-    ('filter-compact', 3000): ('fb8edccbe67e539b', '88ec907482256322'),
-    ('filter-split-share', 10): ('fdecd3b4785ad64c', '6d71173fe02131b2'),
-    ('filter-split-share', 700): ('07e2c594dd4cffe5', '36a2ad8a6801c545'),
-    ('filter-split-share', 3000): ('0f9ebb66e11ba829', '498687e8706564f4'),
-    ('mphf', 10): ('071834a0c00c51ce', '0867a5c9373e43cf'),
-    ('mphf', 700): ('883c6f904bbb3ffd', '4d618c7e8084f941'),
-    ('mphf', 3000): ('3ed327c2a6346856', '4ab4a2dc6fe2f3de'),
-    ('phf', 10): ('9fafadd8e38e4dd0', '20af44ac16dd6c50'),
-    ('phf', 700): ('6be1bceb6fae05c5', '6b4a5417b9408330'),
-    ('phf', 3000): ('9238022ca299b6d5', 'd164013f138dee9d'),
-    ('split-share', 10): ('150b7909cf6b4708', 'b0fbad213f7bd2b6'),
-    ('split-share', 700): ('a6e02e69ab16ddda', '166d14cca3094009'),
-    ('split-share', 3000): ('ad12655b91b45ad2', '8220df91cd34a84a'),
-    ('split-share-r64', 10): ('8ac914a677cbad77', '612121c133247d90'),
-    ('split-share-r64', 700): ('c5831849a78f8df6', '7f5054b3332b88fb'),
-    ('split-share-r64', 3000): ('4b7c7cdc7fd9c53a', 'a8c5c2736b6f08b5'),
+    ('basic', 10): ('8c7a126b5baf09d3', '469270529bfc46cf'),
+    ('basic', 700): ('b5ca6fb6790d27d8', '7fca60f3064a97fe'),
+    ('basic', 3000): ('ab4b15cc7bb20f91', '1f243df05ca8627f'),
+    ('basic-r64', 10): ('742ce9b3bcfb3a77', '82dc75461c09d320'),
+    ('basic-r64', 700): ('c3aa7a685801d8ef', '93108fa71f4ef070'),
+    ('basic-r64', 3000): ('9fd37280619e9a8d', 'b8cc2f97652b9644'),
+    ('blocked', 10): ('61b515ad8976ebba', 'aa064cc58abf6d5c'),
+    ('blocked', 700): ('71530b9a71609dd3', 'f1cbfb15a83dcf8e'),
+    ('blocked', 3000): ('96f6177293338fc4', '7554f74c567ca468'),
+    ('blocked-forced', 10): ('e42b133570f8ae29', '0a1e8b598f5b29ba'),
+    ('blocked-forced', 700): ('b4fde3d3dc97a425', '2443882962808e32'),
+    ('blocked-forced', 3000): ('8c00fea476fee2d6', '66bc28e518d21277'),
+    ('bloomier-basic', 10): ('92ff630e2387a6f7', '89e3c78cd6c38e5d'),
+    ('bloomier-basic', 700): ('8631c501513ef9c6', '13039d7d5c19c22c'),
+    ('bloomier-basic', 3000): ('bd90a23ac01bd37a', '13039d7d5c19c22c'),
+    ('bloomier-blocked', 10): ('fe13016739a0f59f', '89e3c78cd6c38e5d'),
+    ('bloomier-blocked', 700): ('6688738289f9bd7d', '365c3315563ea5e4'),
+    ('bloomier-blocked', 3000): ('5b94147227ee4673', '13039d7d5c19c22c'),
+    ('bloomier-compact', 10): ('6e498994f5a0a5b7', '72170ed7fb697ce2'),
+    ('bloomier-compact', 700): ('5194e0838ae641af', '13039d7d5c19c22c'),
+    ('bloomier-compact', 3000): ('cfa31aeff7198d4c', '19ee6acc3be3a64c'),
+    ('compact', 10): ('9de11017153d571e', 'b007957944def72a'),
+    ('compact', 700): ('9e80b8c1a9b45c80', 'fe80a5213937bf14'),
+    ('compact', 3000): ('4957996352efec23', 'abd69bff188420dd'),
+    ('filter-basic', 10): ('4583b1987a04099c', '478d91816e3b923c'),
+    ('filter-basic', 700): ('f4e1b7598ee56c4f', '498687e8706564f4'),
+    ('filter-basic', 3000): ('cad3756926b54003', '517d7e068c535279'),
+    ('filter-blocked', 10): ('139eafb4f2d2ffe7', '6d71173fe02131b2'),
+    ('filter-blocked', 700): ('c34028ad3c718e5c', '498687e8706564f4'),
+    ('filter-blocked', 3000): ('711838b7cbfb515b', '498687e8706564f4'),
+    ('filter-compact', 10): ('3cae6403f0758860', '6d71173fe02131b2'),
+    ('filter-compact', 700): ('ec43c03c583e33b6', '498687e8706564f4'),
+    ('filter-compact', 3000): ('56cf21a031f5fbe5', 'f4d242fd8f8a852e'),
+    ('filter-split-share', 10): ('0d63419979a5abc7', '6d71173fe02131b2'),
+    ('filter-split-share', 700): ('f7d13eda3926ffbe', '498687e8706564f4'),
+    ('filter-split-share', 3000): ('f80a7625f8435427', 'eecd6f428b35335d'),
+    ('mphf', 10): ('5ef676d4ed74d90f', 'a151b577723e74f4'),
+    ('mphf', 700): ('5aa4e93971af8bef', '8f6dac36a00f6c29'),
+    ('mphf', 3000): ('4892527e31e5c766', '37b2616602a4bd13'),
+    ('phf', 10): ('c3eeec9dcaaa8829', '1dfb6495d83b30e4'),
+    ('phf', 700): ('e012bdde891b3be1', '08e453c69cd5c2e7'),
+    ('phf', 3000): ('03b0d996e968da2d', '5da3cfed47ffac8f'),
+    ('split-share', 10): ('7389950a53643832', '351cf7e289db5783'),
+    ('split-share', 700): ('b77726c5279b4943', '91b9dde4c71b8ccd'),
+    ('split-share', 3000): ('ecf91f3e39b803be', 'a1c83174767209b5'),
+    ('split-share-r64', 10): ('762ff8dfdf9bb3b4', 'ee3d5eb9367d134f'),
+    ('split-share-r64', 700): ('a1dd4587c7121022', '0f01261ef1afb5ec'),
+    ('split-share-r64', 3000): ('622d54ace1741945', 'e658c594ec71251e'),
     # larger systems: many peeling layers, and many blocks in one stacked solve
-    ('basic', 20000): ('5e5f1037aadddf04', '7811ed643f349631'),
-    ('blocked', 20000): ('e6b02fffca7d137d', '4d388a2b322ad1ca'),
-    ('phf', 20000): ('17f1296bd658ee8d', '2b1ca4bd0343a905'),
+    ('basic', 20000): ('1a30dc75bdbe333b', '5e6a16f668f8acd2'),
+    ('blocked', 20000): ('05d2fba73a2f7988', 'eb47024076265eff'),
+    ('phf', 20000): ('92ae77909cc6bbbb', '6235b8677f8449e7'),
 }
 LARGE = [("basic", 20000), ("blocked", 20000), ("phf", 20000)]
 

@@ -3,25 +3,25 @@ import math
 import struct
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CHI2_999, chi_square_ok
-from xorfunc.errors import EmptySupport, IndexOutOfRange, KTooLarge, ZeroRange
+from xorfunc.errors import EmptySupport, IndexOutOfRange, KTooLarge
 from xorfunc.hashing import (
     MASK64,
     ROLE_PROBE,
-    ChunkHasher,
     SeededHasher,
     build_binomial_table,
     build_split_share,
     distinct_k_rows,
     distinct_k_set,
     fn_index,
-    probe_hashers,
     sample_conditioned,
     split_share_eval,
+    split_share_value,
 )
 
 
@@ -33,14 +33,26 @@ class _StubHasher:
         return self.value
 
 
-def test_hash_to_range_single_bucket():
-    h = SeededHasher(42, 0)
-    assert h.hash_to_range(b"anything", 1) == 0
+def _words_of(seed, index, key):
+    """The word tuple hasher ``(seed, index)`` of the given width makes of ``key``,
+    from fresh salted blake2b calls: 8 words per digest, block number in person."""
+    salt = struct.pack("<QQ", seed & MASK64, index & MASK64)
+
+    def words(width):
+        out = []
+        for block, first in enumerate(range(0, width, 8)):
+            size = 8 * min(8, width - first)
+            person = struct.pack("<Q", block)
+            digest = hashlib.blake2b(key, digest_size=size, salt=salt, person=person).digest()
+            out += struct.unpack(f"<{size // 8}Q", digest)
+        return tuple(out)
+
+    return words
 
 
-def test_hash_to_range_zero_range():
-    with pytest.raises(ZeroRange):
-        SeededHasher(0, 0).hash_to_range(b"x", 0)
+def probe_words(seed, generation, k):
+    """The basic structure's probe-word function at a generation."""
+    return SeededHasher(seed, fn_index(ROLE_PROBE, generation), width=k).words
 
 
 def test_hash_is_a_pure_function_of_inputs():
@@ -48,7 +60,7 @@ def test_hash_is_a_pure_function_of_inputs():
     assert SeededHasher(12345, 67).u64(b"determinism") == SeededHasher(12345, 67).u64(
         b"determinism"
     )
-    assert SeededHasher(12345, 67).u64(b"determinism") == 0x28F780E34C2908AA
+    assert SeededHasher(12345, 67).u64(b"determinism") == 0x6A52206F739A45CC
 
 
 _WORDS = st.one_of(
@@ -61,50 +73,80 @@ _WORDS = st.one_of(
 @example(1 << 63, MASK64, [b"", b"x" * 128, b"y" * 129, b""])
 @example(0, 1 << 64, [bytes(range(256)) * 2])
 @settings(max_examples=200, deadline=None)
-def test_u64_equals_a_fresh_keyed_blake2b(seed, index, keys):
-    # the hasher copies one keyed prototype per call; repeating keys on the
+def test_u64_equals_a_fresh_salted_blake2b(seed, index, keys):
+    # the hasher copies one salted prototype per call; repeating keys on the
     # same hasher shows the prototype is never consumed
     h = SeededHasher(seed, index)
-    prf_key = struct.pack("<QQ", seed & MASK64, index & MASK64)
+    salt = struct.pack("<QQ", seed & MASK64, index & MASK64)
     for key in keys + keys[::-1]:
-        fresh = hashlib.blake2b(key, digest_size=8, key=prf_key).digest()
+        fresh = hashlib.blake2b(key, digest_size=8, salt=salt).digest()
         assert h.u64(key) == int.from_bytes(fresh, "little")
+
+
+@pytest.mark.parametrize("width", [1, 3, 8, 9, 46])
+def test_words_equal_fresh_salted_blake2b_digests(width):
+    """Known answers: one digest per 8 words, the last one shortened, and
+    the batch rows equal to the words, for keys shorter and longer than
+    blake2b's 128-byte block."""
+    seed, index = (1 << 63) + 5, fn_index(ROLE_PROBE, 7, 2)
+    h = SeededHasher(seed, index, width=width)
+    keys = [b"", b"a" * 128, b"b" * 129, bytes(range(250)) * 4]
+    assert [len(key) for key in keys] == [0, 128, 129, 1000]
+    expected = [_words_of(seed, index, key)(width) for key in keys]
+    assert [h.words(key) for key in keys + keys[::-1]] == expected + expected[::-1]
+    rows = h.word_rows(keys)
+    assert rows.dtype == np.uint64 and rows.shape == (len(keys), width)
+    assert rows.tolist() == [list(w) for w in expected]
+    assert [h.u64(key) for key in keys] == [w[0] for w in expected]
+    assert h.word_rows([]).shape == (0, width)
+
+
+def test_words_of_different_widths_are_independent():
+    """blake2b's digest length is in its parameter block: a narrower hasher
+    on the same salt is not a prefix of a wider one."""
+    narrow, wide = SeededHasher(3, 4, width=3), SeededHasher(3, 4, width=4)
+    assert all(narrow.words(b"w%d" % i)[0] != wide.words(b"w%d" % i)[0] for i in range(100))
+    with pytest.raises(ValueError):
+        SeededHasher(3, 4, width=0)
 
 
 def test_hash_uniformity_chi_square():
     h = SeededHasher(7, fn_index(ROLE_PROBE, 0, 0))
     counts = [0] * 16
     for i in range(100_000):
-        counts[h.hash_to_range(b"u%d" % i, 16)] += 1
+        counts[h.u64(b"u%d" % i) % 16] += 1
     stat = sum((c - 6250.0) ** 2 / 6250.0 for c in counts)
     assert stat < CHI2_999[15]
 
 
 def test_distinct_k_set_single_draw():
-    hashers = probe_hashers(3, ROLE_PROBE, 0, 1)
-    out = distinct_k_set(b"key", 1, 10, hashers)
+    words = probe_words(3, 0, 1)
+    out = distinct_k_set(words(b"key"), 1, 10)
     assert len(out) == 1 and 0 <= out[0] < 10
-    assert out[0] == hashers[0].hash_to_range(b"key", 10)
+    assert out[0] == words(b"key")[0] % 10
+    assert distinct_k_set(words(b"key"), 1, 1) == (0,)
 
 
 def test_distinct_k_set_full_shuffle_is_permutation():
-    hashers = probe_hashers(5, ROLE_PROBE, 0, 4)
+    words = probe_words(5, 0, 4)
     for i in range(50):
-        out = distinct_k_set(b"p%d" % i, 4, 4, hashers)
+        out = distinct_k_set(words(b"p%d" % i), 4, 4)
         assert sorted(out) == [0, 1, 2, 3]
 
 
 def test_distinct_k_set_k_too_large():
     with pytest.raises(KTooLarge):
-        distinct_k_set(b"x", 5, 4, probe_hashers(0, ROLE_PROBE, 0, 5))
+        distinct_k_set(probe_words(0, 0, 5)(b"x"), 5, 4)
+    with pytest.raises(KTooLarge):
+        distinct_k_set((7,), 1, 0)
 
 
 def test_distinct_k_set_subsets_uniform():
-    hashers = probe_hashers(11, ROLE_PROBE, 0, 3)
+    words = probe_words(11, 0, 3)
     counts = {frozenset(c): 0 for c in combinations(range(6), 3)}
     draws = 60_000
     for i in range(draws):
-        counts[frozenset(distinct_k_set(b"s%d" % i, 3, 6, hashers))] += 1
+        counts[frozenset(distinct_k_set(words(b"s%d" % i), 3, 6))] += 1
     expected = draws / 20.0
     sigma = math.sqrt(draws * (1 / 20) * (19 / 20))
     for c in counts.values():
@@ -119,8 +161,7 @@ def test_distinct_k_set_subsets_uniform():
 @settings(max_examples=300, deadline=None)
 def test_distinct_k_set_entries_distinct(key, m, data):
     k = data.draw(st.integers(min_value=1, max_value=m))
-    hashers = probe_hashers(99, ROLE_PROBE, 0, k)
-    out = distinct_k_set(key, k, m, hashers)
+    out = distinct_k_set(probe_words(99, 0, k)(key), k, m)
     assert len(out) == k
     assert len(set(out)) == k
     assert all(0 <= j < m for j in out)
@@ -130,11 +171,11 @@ def test_distinct_k_set_fuzz_seeded():
     import random
 
     rng = random.Random(5)
-    hashers = probe_hashers(123, ROLE_PROBE, 0, 100)
+    words = probe_words(123, 0, 100)
     for i in range(20_000):
         m = rng.randint(1, 100)
         k = rng.randint(1, m)
-        out = distinct_k_set(b"f%d" % i, k, m, hashers)
+        out = distinct_k_set(words(b"f%d" % i), k, m)
         assert len(set(out)) == k and max(out) < m
 
 
@@ -229,14 +270,14 @@ def test_split_share_single_key():
     assert v == split_share_eval(tables, chunk, 1, b"only")
 
 
-def test_chunk_hasher_on_the_digest_equals_split_share_eval():
+def test_split_share_value_on_the_digest_equals_split_share_eval():
     keys = [b"cd%d" % i for i in range(500)]
     tables = build_split_share(keys, L=3, t=1 << 20, seed=5)
     for key in keys[:100]:
         chunk, digest = tables.chunk_of(key), tables.digest(key)
         for j in (1, 2, 3):
-            hasher = ChunkHasher(tables, chunk, j)
-            assert hasher.hash_to_range(digest, 1000) == split_share_eval(tables, chunk, j, key) % 1000
+            value = split_share_value(tables, chunk, j, digest)
+            assert value == split_share_eval(tables, chunk, j, key)
 
 
 def test_split_share_max_chunk_bound():
@@ -305,31 +346,26 @@ def test_batch_rows_equal_distinct_k_set(k):
     steps draw a position an earlier step displaced (small m)."""
     keys = [b"", b"\x00", b"x" * 129, b"y" * 300, *(b"bk%d" % i for i in range(400))]
     for m in (k, k + 1, k + 2, 1000):
-        hashers = probe_hashers(77 + m, ROLE_PROBE, 3, k)
-        rows = distinct_k_rows(keys, k, m, hashers)
+        hasher = SeededHasher(77 + m, fn_index(ROLE_PROBE, 3), width=k)
+        rows = distinct_k_rows(hasher.word_rows(keys), k, m)
         assert rows.shape == (len(keys), k)
-        assert rows.tolist() == [list(distinct_k_set(key, k, m, hashers)) for key in keys]
+        assert rows.tolist() == [list(distinct_k_set(hasher.words(key), k, m)) for key in keys]
+
+
+def test_batch_rows_read_the_first_k_columns():
+    """Columns past k, and a strided view of them, give the rows of the words alone."""
+    hasher = SeededHasher(9, fn_index(ROLE_PROBE), width=5)
+    words = hasher.word_rows([b"s%d" % i for i in range(300)])
+    assert distinct_k_rows(words, 3, 50).tolist() == distinct_k_rows(words[:, :3], 3, 50).tolist()
+    assert distinct_k_rows(words[:, 2:], 3, 50).tolist() == [
+        list(distinct_k_set(row[2:], 3, 50)) for row in words.tolist()
+    ]
 
 
 def test_batch_rows_check_k_against_m():
-    hashers = probe_hashers(1, ROLE_PROBE, 0, 4)
-    assert distinct_k_rows([], 4, 0, hashers).shape == (0, 4)
+    words = SeededHasher(1, fn_index(ROLE_PROBE), width=4).word_rows([b"a"])
+    assert distinct_k_rows(words[:0], 4, 0).shape == (0, 4)
     with pytest.raises(KTooLarge):
-        distinct_k_rows([b"a"], 4, 3, hashers)
+        distinct_k_rows(words, 4, 3)
     with pytest.raises(ValueError):
-        distinct_k_rows([b"a"], 0, 3, hashers)
-
-
-def test_batch_rows_hash_through_u64(monkeypatch):
-    """Every word comes from ``SeededHasher.u64``: k calls per key, as key by key."""
-    calls = []
-    real = SeededHasher.u64
-
-    def counted(self, key):
-        calls.append(key)
-        return real(self, key)
-
-    monkeypatch.setattr(SeededHasher, "u64", counted)
-    keys = [b"c%d" % i for i in range(50)]
-    distinct_k_rows(keys, 3, 90, probe_hashers(5, ROLE_PROBE, 0, 3))
-    assert sorted(calls) == sorted(keys * 3)
+        distinct_k_rows(words, 0, 3)

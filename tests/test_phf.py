@@ -8,7 +8,7 @@ import pytest
 
 from xorfunc import serial
 from xorfunc.errors import KTooLarge, RandomnessExhausted
-from xorfunc.hashing import ROLE_PROBE, distinct_k_set, probe_hashers
+from xorfunc.hashing import ROLE_PROBE, SeededHasher, distinct_k_set, fn_index
 from xorfunc.phf import (
     build_mphf,
     build_phf,
@@ -32,9 +32,8 @@ def test_hopcroft_karp_small_cases():
 def test_single_key():
     p = build_phf([b"solo"], k=2, delta=1.0, seed=0)
     pos = eval_phf(p, b"solo")
-    probes = distinct_k_set(
-        b"solo", p.k, p.m, probe_hashers(p.master_seed, ROLE_PROBE, p.seed_generation, p.k)
-    )
+    hasher = SeededHasher(p.master_seed, fn_index(ROLE_PROBE, p.seed_generation), width=p.k)
+    probes = distinct_k_set(hasher.words(b"solo"), p.k, p.m)
     assert pos in probes  # the matched column is one of the key's own probes
 
 
@@ -60,10 +59,10 @@ def test_injective_and_matched_positions():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         p = build_phf(keys, k=4, delta=0.035, seed=2)
-    hashers = probe_hashers(p.master_seed, ROLE_PROBE, p.seed_generation, p.k)
+    hasher = SeededHasher(p.master_seed, fn_index(ROLE_PROBE, p.seed_generation), width=p.k)
     outs = []
     for key in keys:
-        probes = distinct_k_set(key, p.k, p.m, hashers)
+        probes = distinct_k_set(hasher.words(key), p.k, p.m)
         pos = eval_phf(p, key)
         assert pos in probes
         outs.append(pos)

@@ -1,6 +1,8 @@
-"""The per-key query path builds no hasher and reads the stored tables in place."""
+"""The per-key query path builds no hasher, hashes each key once per role and reads
+the stored tables in place."""
 
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from conftest import failing_reductions
 from xorfunc import basic, blocked, compact, filters, phf, serial
 from xorfunc.blocked import probe_plan
-from xorfunc.hashing import ROLE_PROBE, SeededHasher, distinct_k_set, probe_hashers
+from xorfunc.hashing import SeededHasher
 
 N = 300
 
@@ -67,11 +69,10 @@ def test_queries_construct_no_hasher(kind, monkeypatch):
 def test_basic_views_see_in_place_edits():
     pairs = pairs_of(N)
     d = basic.build(pairs, r=8, seed=1)
-    pivots = set(d.pivots)
-    d.table[list(pivots)] ^= np.uint64(1)  # every stored entry
-    assert any(d.query(key) != value for key, value in pairs)
+    assert d.k == 3
+    d.table ^= np.uint64(1)  # every entry, so each of a key's 3 probes flips its answer
     for key, value in pairs:
-        assert d.query(key) == value ^ (len(pivots.intersection(d.probes(key))) & 1)
+        assert d.query(key) == value ^ 1
 
 
 def test_blocked_views_see_in_place_edits():
@@ -90,8 +91,7 @@ def test_blocked_views_see_in_place_edits():
 def test_phf_and_mphf_views_see_in_place_edits():
     key = KEYS[0]
     p = phf.build_phf(KEYS, k=4, delta=0.1, seed=5)
-    hashers = probe_hashers(p.master_seed, ROLE_PROBE, p.seed_generation, p.k)
-    probes = distinct_k_set(key, p.k, p.m, hashers)
+    probes = p.probes(key)
     before = p.query(key)
     p.lambda_table[probes[0]] ^= np.uint64(1)  # the selector changes, so does the probe
     assert p.query(key) != before
@@ -134,3 +134,61 @@ def test_split_share_query_makes_two_prf_calls(monkeypatch):
         calls.clear()
         assert s.query(key) == value
         assert len(calls) == 2
+
+
+# per query: (SeededHasher.words calls, SeededHasher.u64 calls); a compact key
+# draws its probe count with one u64, and a filter its signature
+HASH_CALLS = {
+    "basic": (1, 0),
+    "compact": (1, 1),
+    "blocked": (2, 0),  # the primary's block and probes, then the secondary's probes
+    "phf": (1, 0),
+    "mphf": (1, 0),
+    "filter-basic": (1, 1),
+    "filter-blocked": (2, 1),
+    "bloomier-blocked": (2, 1),
+}
+
+
+def _count_hash_calls(monkeypatch) -> Counter:
+    calls = Counter()
+    for name in ("words", "u64"):
+        original = getattr(SeededHasher, name)
+
+        def counting(self, key, name=name, original=original):
+            calls[name] += 1
+            return original(self, key)
+
+        monkeypatch.setattr(SeededHasher, name, counting)
+    original_rows = SeededHasher.word_rows
+
+    def counting_rows(self, keys):
+        calls["word_rows"] += len(keys)
+        return original_rows(self, keys)
+
+    monkeypatch.setattr(SeededHasher, "word_rows", counting_rows)
+    return calls
+
+
+@pytest.mark.parametrize("kind", sorted(HASH_CALLS))
+def test_one_digest_per_key_and_role(kind, monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        structure = BUILDERS[kind]()
+    backend = getattr(structure, "backend", structure)
+    assert getattr(backend, "secondary_len", 1)  # blocked kinds probe a secondary
+    calls = _count_hash_calls(monkeypatch)
+    words, u64 = HASH_CALLS[kind]
+    for key in QUERIES:
+        calls.clear()
+        structure.query(key)
+        assert (calls["words"], calls["u64"], calls["word_rows"]) == (words, u64, 0)
+
+
+def test_basic_build_hashes_each_key_once(monkeypatch):
+    """A build that solves at generation 0 takes all n probe rows from n digests."""
+    pairs = pairs_of(2000)
+    calls = _count_hash_calls(monkeypatch)
+    d = basic.build(pairs, r=8, seed=1)
+    assert d.seed_generation == 0
+    assert calls == {"word_rows": len(pairs)}
