@@ -13,7 +13,6 @@ from .basic import (
     query,
     verify,
 )
-from .bitvector import RankBitvector, rank1
 from .blocked import (
     BlockedRetrieval,
     build_blocked,

@@ -1,14 +1,16 @@
-"""Bitvector with constant-time rank support.
+"""Bitvector rank and the shape of an Elias-Fano list.
 
-Geometry: 4096-bit superblocks carry 64-bit absolute popcounts, every 64-bit
-word carries a 16-bit popcount relative to its superblock.  A rank query is
-one superblock counter, one word counter, and one masked popcount.  The index
-costs 0.266 bits per stored bit.
+``RankBitvector`` answers rank in constant time.  Geometry: 4096-bit
+superblocks carry 64-bit absolute popcounts, every 64-bit word carries a
+16-bit popcount relative to its superblock.  A rank query is one superblock
+counter, one word counter, and one masked popcount.  No library structure
+holds one: the minimal perfect hash ranks from its list of unused slots, and
+``RankBitvector`` is the reference that rank is tested against.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,22 +44,6 @@ class RankBitvector:
         self._super_counts = memoryview(self.super_counts)
         self._word_rel = memoryview(self.word_rel)
 
-    @classmethod
-    def from_indices(cls, length: int, ones: Iterable[int]) -> "RankBitvector":
-        bits = np.zeros(length, dtype=np.uint8)
-        idx = np.fromiter(ones, dtype=np.int64)
-        if idx.size:
-            bits[idx] = 1
-        return cls(bits)
-
-    def __len__(self) -> int:
-        return self.length
-
-    def get(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexOutOfRange(f"bit {i} out of [0, {self.length})")
-        return (self._words[i >> 6] >> (i & 63)) & 1
-
     def rank1(self, i: int) -> int:
         """Number of set bits in positions [0, i)."""
         if not 0 <= i <= self.length:
@@ -75,15 +61,6 @@ class RankBitvector:
             r += (self._words[w] & ((1 << rem) - 1)).bit_count()
         return r
 
-    @property
-    def index_bits(self) -> int:
-        """Size of the rank index on top of the raw bits."""
-        return 64 * len(self.super_counts) + 16 * len(self.word_rel)
-
-    def to_bits(self) -> np.ndarray:
-        raw = np.unpackbits(self.words.view(np.uint8), bitorder="little")
-        return raw[: self.length]
-
 
 def elias_fano_shape(count: int, universe: int) -> tuple[int, int]:
     """(low width l, high bits) of an Elias-Fano list of count values below universe.
@@ -97,6 +74,3 @@ def elias_fano_shape(count: int, universe: int) -> tuple[int, int]:
     low = (universe // count).bit_length() - 1  # exact for 1 <= count <= universe
     return low, count + ((universe - 1) >> low) + 1
 
-
-def rank1(v: RankBitvector, i: int) -> int:
-    return v.rank1(i)

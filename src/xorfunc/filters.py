@@ -131,7 +131,7 @@ class BloomierFilter:
             f"backend: {self.backend_kind}",
             f"fp_rate: {2.0 ** -self.s:.6g}",
         ]
-        if self.backend is not None and "split_share: true" in self.backend.stats():
+        if isinstance(self.backend, basic.SplitShareRetrieval):
             lines.append("split_share: true")
             lines.append("fp_note: simulated hashing adds O(1/sqrt(n)) to the fp rate")
         return lines

@@ -7,14 +7,16 @@ itself a retrieval problem over ceil(log2 k)-bit values, solved once; it
 succeeds exactly when the probe rows have full rank, and full rank implies
 that a perfect matching exists (a regular n x n submatrix has a nonzero
 permanent).  Evaluation reads the selector and returns the selected probe.
-The minimal variant ranks the image set with a bitvector.  Its container
-stores the m - n slots outside the image as an Elias-Fano list when that is
-shorter than the bitvector, and the rank bitvector is rebuilt on load.
+The minimal variant keeps the increasing list of the m - n slots outside
+the image and ranks a slot x as x minus the unused slots below it.  Its
+container stores that list as an Elias-Fano list when that is shorter than
+one bit per slot.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -22,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .basic import DEFAULT_RETRY_CAP, check_table_size, normalize_pairs, threshold_warning
-from .bitvector import RankBitvector, elias_fano_shape
+from .bitvector import elias_fano_shape
 from .errors import RandomnessExhausted
 from .filters import LOG2_E  # bits/key that any minimal perfect hash needs as n grows
 from .gf2 import solve_xor_system
@@ -160,7 +162,7 @@ class MinimalPerfectHash:
     r = 0
 
     base: PerfectHash
-    used: RankBitvector
+    unused: list[int]  # the m - n slots outside the image, increasing
 
     @property
     def n(self) -> int:
@@ -176,11 +178,6 @@ class MinimalPerfectHash:
         return stored_image_bits(self.n, self.m)
 
     @property
-    def rank_bits(self) -> int:
-        """In-memory size of the image: the rank bitvector and its index, rebuilt on load."""
-        return len(self.used) + self.used.index_bits
-
-    @property
     def table_bits(self) -> int:
         return self.base.table_bits + self.image_bits
 
@@ -189,7 +186,9 @@ class MinimalPerfectHash:
         return self.table_bits / self.n if self.n else 0.0
 
     def query(self, key: bytes) -> int:
-        return self.used.rank1(self.base.query(key))
+        """The key's slot, less the unused slots below it."""
+        slot = self.base.query(key)
+        return slot - bisect_left(self.unused, slot)
 
     def verify(self, pairs: Iterable[tuple[bytes, int]]) -> bool:
         """The keys map onto exactly [0, number of keys)."""
@@ -200,7 +199,6 @@ class MinimalPerfectHash:
         return [
             *self.base.stats(),
             f"image_bits: {self.image_bits}",
-            f"rank_bits: {self.rank_bits}",
             f"lower_bound_bits_per_key: {LOG2_E:.4f}",
         ]
 
@@ -257,8 +255,8 @@ def build_mphf(
     """Perfect hash composed with rank over its image: a bijection onto [n]."""
     base = build_phf(keys, k=k, delta=delta, seed=seed)
     assert base.pivots is not None
-    used = RankBitvector.from_indices(base.m, base.pivots)
-    return MinimalPerfectHash(base=base, used=used)
+    unused = np.setdiff1d(np.arange(base.m), base.pivots, assume_unique=True).tolist()
+    return MinimalPerfectHash(base=base, unused=unused)
 
 
 eval_mphf = MinimalPerfectHash.query

@@ -11,9 +11,8 @@ Layout (all little-endian):
 Kind codes are positions in ``KINDS`` plus one: 1 basic retrieval,
 2 compact, 3 blocked, 4 membership filter, 5 Bloomier filter, 6 perfect
 hash, 7 minimal perfect hash.  Filters embed their backend's whole container
-in the kind-specific block.  Derived data (rank indexes, binomial tables,
-shared hash tables, the minimal perfect hash's image bitvector) is rebuilt
-on load.
+in the kind-specific block.  Derived data (binomial tables, shared hash
+tables) is rebuilt on load.
 
 Each kind is read at exactly one version byte: 2 for kinds 1-6, 3 for kind
 7.  The earlier bytes (1, and 2 for kind 7) hashed each probe with its own
@@ -42,7 +41,7 @@ import numpy as np
 
 from . import basic, blocked, compact, filters, phf
 from .basic import DEFAULT_RETRY_CAP, SPLIT_SHARE_T
-from .bitvector import RankBitvector, elias_fano_shape
+from .bitvector import elias_fano_shape
 from .errors import BadCrc, BadMagic, ContainerError, EmptySupport, UnsupportedVersion
 from .hashing import (
     MAX_GENERATION,
@@ -334,9 +333,12 @@ def _encode_phf(p: phf.PerfectHash) -> bytes:
 def _encode_mphf(mp: phf.MinimalPerfectHash) -> bytes:
     """The selector entries, then the image (see :func:`phf.stored_image_bits`)."""
     p = mp.base
-    image = mp.used.to_bits()
+    unused = np.array(mp.unused, dtype=np.int64)
     if mp.image_bits < p.m:
-        image = slot_list_bits(np.flatnonzero(image == 0), p.m)
+        image = slot_list_bits(unused, p.m)
+    else:
+        image = np.ones(p.m, dtype=np.uint8)
+        image[unused] = 0
     stream = np.concatenate([_entry_bits(p.lambda_table, p.r_lambda), image])
     return _container("mphf", _phf_header(p), struct.pack("<d", p.delta), stream)
 
@@ -390,10 +392,10 @@ def _decode_mphf(h: _Header, ks: bytes, bits: np.ndarray):
     image = bits[h.m * h.r :]
     if stored < h.m:
         unused = slot_list(image, h.m - h.n, h.m)
-        image = np.ones(h.m, dtype=np.uint8)
-        image[unused] = 0
-    _require(int(image.sum()) == h.n, "image size differs from n")
-    return phf.MinimalPerfectHash(base=base, used=RankBitvector(image))
+    else:
+        unused = np.flatnonzero(image == 0)
+        _require(len(unused) == h.m - h.n, "image size differs from n")
+    return phf.MinimalPerfectHash(base=base, unused=unused.tolist())
 
 
 _ENCODERS = {

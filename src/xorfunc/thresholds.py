@@ -119,8 +119,16 @@ _BETA_CACHE: dict[int, float] = {}
 
 
 def beta_k_cached(k: int) -> float:
+    """beta_k, or beta_approx where the bisection cannot bracket it (k >= 29).
+
+    There the rate function's sign cannot be resolved in double precision,
+    and the closed form is accurate: 1 - beta_k is near e^-k / ln 2.
+    """
     if k not in _BETA_CACHE:
-        _BETA_CACHE[k] = beta_k(k, 1e-6).beta
+        try:
+            _BETA_CACHE[k] = beta_k(k, 1e-6).beta
+        except ConvergenceFailure:
+            _BETA_CACHE[k] = beta_approx(k)
     return _BETA_CACHE[k]
 
 

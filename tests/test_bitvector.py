@@ -1,22 +1,21 @@
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xorfunc.bitvector import RankBitvector, rank1
+from xorfunc.bitvector import RankBitvector
 from xorfunc.errors import IndexOutOfRange
 
 
 def test_all_zero_vector():
     v = RankBitvector([0] * 1000)
-    assert all(rank1(v, i) == 0 for i in range(0, 1001, 37))
+    assert all(v.rank1(i) == 0 for i in range(0, 1001, 37))
 
 
 def test_all_one_vector():
     v = RankBitvector([1] * 1000)
-    assert all(rank1(v, i) == i for i in range(0, 1001, 37))
+    assert all(v.rank1(i) == i for i in range(0, 1001, 37))
 
 
 def test_random_vector_matches_prefix_sum_oracle():
@@ -43,33 +42,18 @@ def test_rank_steps_are_zero_or_one():
         prev = cur
 
 
-def test_index_overhead_bound():
-    for length in (4096, 100_000, 333_333):
-        v = RankBitvector(np.zeros(length, dtype=np.uint8))
-        assert v.index_bits <= 0.27 * length
-
-
-def test_from_indices_and_get():
-    v = RankBitvector.from_indices(50, [3, 17, 49])
-    assert [v.get(i) for i in (3, 17, 49)] == [1, 1, 1]
-    assert v.rank1(50) == 3
-    assert v.rank1(18) == 2
-
-
 def test_index_out_of_range():
     v = RankBitvector([1, 0, 1])
     with pytest.raises(IndexOutOfRange):
         v.rank1(4)
     with pytest.raises(IndexOutOfRange):
         v.rank1(-1)
-    with pytest.raises(IndexOutOfRange):
-        v.get(3)
 
 
 def test_empty_vector():
     v = RankBitvector([])
     assert v.rank1(0) == 0
-    assert len(v) == 0
+    assert v.length == 0
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=0, max_size=300))
@@ -81,10 +65,3 @@ def test_rank_matches_running_count(bits):
         assert v.rank1(i) == running
         running += b
     assert v.rank1(len(bits)) == running
-
-
-def test_to_bits_roundtrip():
-    rng = random.Random(9)
-    bits = [rng.randrange(2) for _ in range(777)]
-    v = RankBitvector(bits)
-    assert v.to_bits().tolist() == bits

@@ -3,13 +3,19 @@ import random
 import struct
 import sys
 import warnings
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xorfunc import serial
+from xorfunc.bitvector import RankBitvector
 from xorfunc.errors import KTooLarge, RandomnessExhausted
 from xorfunc.hashing import ROLE_PROBE, SeededHasher, distinct_k_set, fn_index
 from xorfunc.phf import (
+    MinimalPerfectHash,
     build_mphf,
     build_phf,
     eval_mphf,
@@ -114,12 +120,49 @@ def test_space_accounting():
     assert mp.table_bits == p.table_bits + mp.image_bits
     payload_bits_at = serial._FIXED_HEADER.size + 8  # after the 8-byte delta block
     assert struct.unpack_from("<Q", serial.serialize(mp), payload_bits_at)[0] == mp.table_bits
-    # the rank bitvector is rebuilt on load and counted apart
-    assert mp.rank_bits == p.m + mp.used.index_bits
     # at delta = 0.4 the list (1,500 bits) would be longer than one bit per slot
     wide = build_mphf(keys, k=4, delta=0.4, seed=6)
     assert wide.image_bits == wide.m == 1400
     assert mp.bits_per_key > p.bits_per_key
+
+
+@st.composite
+def images(draw):
+    """(m, increasing unused slots) with at least one used slot, any share unused."""
+    m = draw(st.integers(min_value=1, max_value=400))
+    c = draw(st.integers(min_value=0, max_value=m - 1))
+    return m, sorted(draw(st.permutations(range(m)))[:c])
+
+
+@given(images())
+@example((1, []))
+@example((300, []))  # c = 0
+@example((300, list(range(299))))  # c = m - 1
+@example((300, list(range(1, 300, 2))))  # c = m / 2, stored as one bit per slot
+@settings(max_examples=200, deadline=None)
+def test_list_rank_matches_the_bitvector_rank(image):
+    m, unused = image
+    bits = np.ones(m, dtype=np.uint8)
+    bits[unused] = 0
+    reference = RankBitvector(bits)
+    # a base that answers the slot itself leaves only the rank in query
+    mp = MinimalPerfectHash(base=SimpleNamespace(query=lambda slot: slot), unused=unused)
+    for slot in np.flatnonzero(bits).tolist():
+        assert mp.query(slot) == reference.rank1(slot)
+
+
+@pytest.mark.parametrize("delta, list_image", [(0.035, True), (0.4, False)])
+def test_fresh_and_loaded_mphf_answer_alike(delta, list_image):
+    keys = keys_of(3000, tag=b"fl")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        mp = build_mphf(keys, k=4, delta=delta, seed=12)
+    assert (mp.image_bits < mp.m) == list_image
+    loaded = serial.deserialize(serial.serialize(mp))
+    assert loaded.unused == mp.unused and len(mp.unused) == mp.m - mp.n
+    probe = keys + [b"outsider%d" % i for i in range(500)]
+    assert [loaded.query(key) for key in probe] == [mp.query(key) for key in probe]
+    assert sorted(mp.query(key) for key in keys) == list(range(len(keys)))
 
 
 def test_same_generation_shared_between_matching_and_solve():

@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
         ),
         pytest.param(
             "mphf_scaling.py", ["--sizes", "2000"],
-            "n,seconds,core_rows,dense_rows,dense_cols,bits_per_key,peak_rss_mb",
+            "n,seconds,core_rows,dense_rows,dense_cols,bits_per_key,query_us,peak_rss_mb",
             id="mphf_scaling",
         ),
         pytest.param(

@@ -206,7 +206,7 @@ def test_mphf_container_with_malformed_slot_list_is_rejected():
         warnings.simplefilter("ignore")
         mp = phf.build_mphf(keys, k=4, delta=0.035, seed=11)
     blob = serial.serialize(mp)
-    unused = np.flatnonzero(mp.used.to_bits() == 0)
+    unused = np.array(mp.unused)
     assert mp.image_bits < mp.m and len(unused) == mp.m - mp.n
     image = serial.slot_list_bits(unused, mp.m)
     assert _with_image(blob, image) == blob

@@ -2,10 +2,12 @@ import math
 
 import pytest
 
-from xorfunc.errors import DomainError
+from xorfunc import basic, blocked, phf
+from xorfunc.errors import ConvergenceFailure, DomainError
 from xorfunc.thresholds import (
     beta_approx,
     beta_k,
+    beta_k_cached,
     calkin_f,
     empirical_threshold,
     rank_mc_gf2,
@@ -55,6 +57,28 @@ def test_beta_inverse_consistent():
 def test_beta_k_increasing_in_k():
     vals = [beta_k(k, 1e-5).beta for k in range(3, 9)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+def test_cached_threshold_falls_back_to_the_closed_form_past_k_28():
+    assert beta_k_cached(28) == beta_k(28, 1e-6).beta
+    with pytest.raises(ConvergenceFailure):
+        beta_k(29)
+    assert beta_k_cached(29) == beta_approx(29)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda pairs: basic.build(pairs, r=8, k=29),
+        lambda pairs: blocked.build_blocked(pairs, r=8, k=29),
+        lambda pairs: phf.build_mphf([key for key, _ in pairs], k=29, delta=0.1),
+    ],
+    ids=["basic", "blocked", "mphf"],
+)
+def test_builders_take_k_beyond_the_bisection_range(build):
+    pairs = [(b"key%d" % i, i % 256) for i in range(2000)]
+    structure = build(pairs)
+    assert "k: 29" in structure.stats() and structure.verify(pairs)
 
 
 def test_beta_approx_spot_values():
