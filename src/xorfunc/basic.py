@@ -27,7 +27,6 @@ from .hashing import (
     distinct_k_set,
     fn_index,
     split_and_share,
-    split_share_value,
 )
 
 DEFAULT_RETRY_CAP = 64  # generations a builder tries: a safety bound, not a knob
@@ -152,6 +151,12 @@ class SplitShareRetrieval(Retrieval):
     def __post_init__(self) -> None:
         self._offsets = memoryview(self.chunk_offsets)
         self._entries = memoryview(self.table)
+        for gen in {g for g, s in zip(self.chunk_generations, np.diff(self.chunk_offsets)) if s}:
+            self.draw_generation(gen)
+
+    def draw_generation(self, generation: int) -> None:
+        """Draw the k shared functions from generation * k on: those a chunk there reads."""
+        self.provider.draw_tables(range(generation * self.k, (generation + 1) * self.k))
 
     @property
     def m(self) -> int:
@@ -167,9 +172,8 @@ class SplitShareRetrieval(Retrieval):
 
     def _chunk_probes(self, chunk: int, digest: int, seg_len: int) -> tuple[int, ...]:
         """The k probes in its chunk's segment of the key whose digest is ``digest``."""
-        first = self.chunk_generations[chunk] * self.k + 1
-        functions = range(first, first + self.k)  # the chunk's shared functions at its generation
-        words = [split_share_value(self.provider, chunk, j, digest) for j in functions]
+        first = self.chunk_generations[chunk] * self.k  # see draw_generation
+        words = self.provider.words(chunk, digest, first, self.k)
         return distinct_k_set(words, self.k, seg_len)
 
     def query(self, key: bytes) -> int:
@@ -257,7 +261,7 @@ def _build_split_share(
         if not pending:
             break
         # the pending chunks, stacked as segments of one system in table columns
-        provider.ensure_tables((gen + 1) * k)
+        d.draw_generation(gen)
         rows: list[tuple[int, ...]] = []
         for ci in pending:
             d.chunk_generations[ci] = gen

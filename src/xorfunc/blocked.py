@@ -3,9 +3,9 @@
 Word 0 of a key's k + 1 primary words picks its block, of expected size b,
 and words 1..k its probes there.  Each block owns a segment of
 ``segment_len = ceil((1 + delta) * b_prime)`` primary columns, where
-``b_prime = ceil((1 + eps) * b)``, and gets one solve attempt when its key
-count fits the segment.  Blocks whose rows are dependent (always so with more
-keys than columns) send their keys to a secondary 3-probe structure.
+``b_prime = ceil((1 + eps) * b)``, and gets one solve attempt.  Blocks whose
+rows are dependent (always so with more keys than columns) send their keys
+to a secondary 3-probe structure.
 ``b_prime`` only sizes the segment: unlike the paper's ``(1 + eps) b`` cap it
 turns no block away, since the segment is reserved whether it is full or not.
 The primary stores f(x) XOR f'(x) where f' is the secondary's answer, so a
@@ -139,11 +139,12 @@ def build_blocked(
 ) -> BlockedRetrieval:
     """Single-pass block solves; the secondary retries until it solves.
 
-    A block is attempted when its key count fits its ``segment_len`` columns;
-    it overflows to the secondary only when its rows are singular.
-    ``b_prime`` only sizes the segment, it is no admission cap.  The blocks
-    are reduced together, as segments of one system in primary columns, and
-    solved once the secondary is known; a singular block's columns stay zero.
+    Every block is attempted; it overflows to the secondary only when its
+    rows are singular, as they always are with more keys than its
+    ``segment_len`` columns.  ``b_prime`` only sizes the segment, it is no
+    admission cap.  The blocks are reduced together, as segments of one
+    system in primary columns, and solved once the secondary is known; a
+    singular block's columns stay zero.
     """
     items = normalize_pairs(pairs)
     n = len(items)
@@ -171,16 +172,11 @@ def build_blocked(
     block, probes = d.primary_rows(keys)
     sizes = np.bincount(block, minlength=m0)
     by_block = np.argsort(block, kind="stable")  # key positions block by block, in key order
-    # more rows than segment columns can never have full rank: such blocks get no rows
-    fits = (0 < sizes) & (sizes <= segment_len)
-    admitted = by_block[fits[block[by_block]]]
-    rows = probes[admitted] + (block[admitted] * segment_len)[:, None]  # to primary columns
+    rows = probes[by_block] + (block[by_block] * segment_len)[:, None]  # to primary columns
     del probes
-    bounds = np.concatenate(([0], np.cumsum(sizes[fits])))
-    reduction = reduce_segments(rows, len(d.primary), bounds)
-    solves = fits.copy()
-    solves[np.flatnonzero(fits)[reduction.failed]] = False
-    overflow = by_block[~solves[block[by_block]]].tolist()
+    reduction = reduce_segments(rows, len(d.primary), np.concatenate(([0], np.cumsum(sizes))))
+    kept = ~np.isin(block[by_block], reduction.failed)  # a failed block's values go unused
+    overflow = by_block[~kept].tolist()
 
     n_prime = len(overflow)
     if n_prime:
@@ -201,11 +197,10 @@ def build_blocked(
                 f"secondary structure failed {DEFAULT_RETRY_CAP} generations (n'={n_prime})"
             )
 
-    stored = values[admitted]  # f XOR f', where f' is the secondary's answer
+    stored = values[by_block]  # f XOR f', where f' is the secondary's answer
     if n_prime:
-        solved = solves[block[admitted]]  # a failed block's values go unused
-        sec = d.secondary_rows([keys[i] for i in admitted[solved]])
-        stored[solved] ^= np.bitwise_xor.reduce(d.secondary[sec], axis=1)
+        sec = d.secondary_rows([keys[i] for i in by_block[kept]])
+        stored[kept] ^= np.bitwise_xor.reduce(d.secondary[sec], axis=1)
     d.primary[:] = reduction.solve(stored)
     return d
 

@@ -263,19 +263,14 @@ class UniversalPair:
         return v0, v1
 
 
-def shared_pair_value(t0: Sequence[int], t1: Sequence[int], v0: int, v1: int, t: int) -> int:
-    """Core split-and-share formula: (T0[v0] + T1[v1]) mod t."""
-    return (t0[v0] + t1[v1]) % t
-
-
 @dataclass
 class SplitShareTables:
     """Splitter + per-chunk universal pairs + shared random tables.
 
-    Each chunk's pair was accepted only if the bipartite multigraph its key
-    digests induce on [r_tab] + [r_tab] is acyclic; under that condition the
-    sum of two shared-table entries is fully random on the chunk for every
-    table redraw.
+    Shared function j is ``(T0[v0] + T1[v1]) mod t``, with ``tables[j]`` and
+    the chunk's pair values on the key digest.  Each pair was accepted only if
+    the bipartite multigraph its chunk's digests induce on [r_tab] + [r_tab] is
+    acyclic; then the function is fully random on the chunk for every redraw.
     """
 
     master_seed: int
@@ -284,7 +279,7 @@ class SplitShareTables:
     t: int
     splitter_generation: int
     pairs: list[UniversalPair | None]
-    tables: list[tuple[list[int], list[int]]]
+    tables: dict[int, tuple[list[int], list[int]]]  # the drawn functions, by position
     max_chunk: int
     # hashers made once, not serialized
     _splitter: SeededHasher = field(init=False, repr=False, compare=False)
@@ -302,16 +297,27 @@ class SplitShareTables:
     def digest(self, key: bytes) -> int:
         return self._base.u64(key)
 
-    def ensure_tables(self, j: int) -> None:
-        """Materialize shared table pairs up to index j (1-based); entries are
-        PRF-derived from (master_seed, j, side), so extension is deterministic."""
-        while len(self.tables) < j:
-            nxt = len(self.tables) + 1
+    def draw_tables(self, positions: Iterable[int]) -> None:
+        """Draw the table pairs of the shared functions at ``positions`` not drawn yet,
+        each from (master_seed, position, side), so the order of draws does not matter."""
+        for j in positions:
+            if j in self.tables:
+                continue
             pair = []
             for side in (0, 1):
-                h = SeededHasher(self.master_seed, fn_index(ROLE_SHARE_TABLE, nxt, side))
+                h = SeededHasher(self.master_seed, fn_index(ROLE_SHARE_TABLE, j + 1, side))
                 pair.append([h.u64(struct.pack("<I", v)) % self.t for v in range(self.r_tab)])
-            self.tables.append((pair[0], pair[1]))
+            self.tables[j] = (pair[0], pair[1])
+
+    def words(self, chunk: int, digest: int, first: int, count: int) -> list[int]:
+        """Shared functions ``first .. first + count - 1`` at the key whose digest
+        is ``digest``, under ``chunk``'s pair; each must be drawn."""
+        pair = self.pairs[chunk]
+        if pair is None:
+            pair = _draw_pair(self.master_seed, chunk, 0, self.r_tab)
+        v0, v1 = pair.values(digest)
+        tables, t = self.tables, self.t
+        return [(tables[j][0][v0] + tables[j][1][v1]) % t for j in range(first, first + count)]
 
 
 def _draw_pair(seed: int, chunk: int, attempt: int, r_tab: int) -> UniversalPair:
@@ -388,7 +394,7 @@ def split_and_share(
     for splitter_gen in range(SPLIT_SHARE_ATTEMPTS):
         tables = SplitShareTables(
             master_seed=seed, num_chunks=num_chunks, r_tab=r_tab, t=t,
-            splitter_generation=splitter_gen, pairs=[], tables=[], max_chunk=0,
+            splitter_generation=splitter_gen, pairs=[], tables={}, max_chunk=0,
         )
         chunks: list[list[int]] = [[] for _ in range(num_chunks)]
         for idx, k in enumerate(key_list):
@@ -412,7 +418,7 @@ def split_and_share(
                 break
         else:
             raise RandomnessExhausted(f"no acyclic pair found for chunk {ci}")
-    tables.ensure_tables(L)
+    tables.draw_tables(range(L))
     return tables, chunks, digests
 
 
@@ -425,11 +431,6 @@ def split_share_value(tables: SplitShareTables, chunk: int, j: int, digest: int)
     """:func:`split_share_eval` for the key whose ``tables.digest`` is ``digest``."""
     if not 0 <= chunk < tables.num_chunks:
         raise IndexOutOfRange(f"chunk {chunk} out of [0, {tables.num_chunks})")
-    if not 1 <= j <= len(tables.tables):
-        raise IndexOutOfRange(f"function index {j} out of [1, {len(tables.tables)}]")
-    pair = tables.pairs[chunk]
-    if pair is None:
-        pair = _draw_pair(tables.master_seed, chunk, 0, tables.r_tab)
-    v0, v1 = pair.values(digest)
-    t0, t1 = tables.tables[j - 1]
-    return shared_pair_value(t0, t1, v0, v1, tables.t)
+    if j - 1 not in tables.tables:
+        raise IndexOutOfRange(f"shared function {j} is not drawn")
+    return tables.words(chunk, digest, j - 1, 1)[0]

@@ -197,10 +197,9 @@ def _decode_basic(h: _Header, ks: bytes, bits: np.ndarray):
         t=t,
         splitter_generation=splitter_gen,
         pairs=pairs,
-        tables=[],
+        tables={},
         max_chunk=max_chunk,
     )
-    provider.ensure_tables(h.k * (max(gens, default=0) + 1))
     offsets = np.concatenate(([0], np.cumsum(seg_lens))).astype(np.int64)
     return basic.SplitShareRetrieval(
         n=h.n, k=h.k, r=h.r, delta=delta, master_seed=h.seed, provider=provider,

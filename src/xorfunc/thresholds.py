@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DomainError
 from .gf2 import system_full_rank
-from .hashing import ROLE_PROBE, SeededHasher, distinct_k_set, fn_index
+from .hashing import ROLE_PROBE, SeededHasher, distinct_k_rows, distinct_k_set, fn_index
 
 _GRID_POINTS = 1024
 _GOLDEN_STEPS = 64
@@ -148,8 +148,8 @@ def rank_mc_gf2(n: int, m: int, k: int, trials: int, seed: int = 0) -> RankExper
     full = 0
     row_keys = [str(i).encode() for i in range(n)]
     for trial in range(trials):
-        words = SeededHasher(seed, fn_index(ROLE_PROBE, trial), width=k).words
-        rows = [distinct_k_set(words(key), k, m) for key in row_keys]
+        words = SeededHasher(seed, fn_index(ROLE_PROBE, trial), width=k).word_rows(row_keys)
+        rows = distinct_k_rows(words, k, m)
         if system_full_rank(rows, m) is not None:
             full += 1
     return RankExperiment(n=n, m=m, k=k, trials=trials, full_rank_count=full, field="gf2")

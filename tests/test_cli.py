@@ -182,6 +182,23 @@ def test_corrupted_structure_is_data_error(tmp_path, capsys):
     assert main(["verify", "--structure", str(out), "--input", str(data)]) == EXIT_DATA
 
 
+@pytest.mark.parametrize("line, message", [(b"k1", "missing"), (b"k1,x", "bad value")])
+def test_malformed_csv_line_is_one_error_line(tmp_path, capsys, line, message):
+    data, built, bad = tmp_path / "data.csv", tmp_path / "built.bin", tmp_path / "bad.csv"
+    write_csv(data, 20)
+    assert main(["build", "--kind", "basic", "--input", str(data), "--out", str(built)]) == 0
+    capsys.readouterr()
+    bad.write_bytes(b"key0,0\n" + line + b"\n")
+    for argv in (
+        ["build", "--kind", "basic", "--input", str(bad), "--out", str(tmp_path / "x.bin")],
+        ["verify", "--structure", str(built), "--input", str(bad)],
+    ):
+        assert main(argv) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: line 2: ") and message in err
+
+
 def test_verification_mismatch_is_data_error(tmp_path):
     data = tmp_path / "data.csv"
     out = tmp_path / "d.bin"

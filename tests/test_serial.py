@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xorfunc import basic, blocked, compact, filters, phf, serial
+from xorfunc import basic, blocked, compact, filters, hashing, phf, serial
 from xorfunc.bitvector import elias_fano_shape
+from xorfunc.cli import EXIT_DATA, main
 from xorfunc.errors import BadCrc, BadMagic, ContainerError, UnsupportedVersion, XorFuncError
 
 
@@ -79,6 +80,69 @@ def test_split_share_roundtrip():
     assert isinstance(restored, basic.SplitShareRetrieval)
     assert basic.verify(restored, pairs)
     assert serial.serialize(restored) == blob
+
+
+@pytest.mark.parametrize("k", [16, 64])
+def test_split_share_load_draws_only_the_generations_its_chunks_use(k):
+    """One chunk of all n = 1,000 columns at generation 63, every other chunk
+    empty: the decoder draws that generation's k shared tables, not 64 k."""
+    n, r, gen, chunk = 1000, 8, 63, 0
+    num_chunks = hashing.default_chunk_count(n)
+    ks = struct.pack("<dB", 0.25, 1) + struct.pack(
+        serial._SPLIT_HEAD, num_chunks, hashing.default_table_size(n), basic.SPLIT_SHARE_T, 0, n
+    )
+    for ci in range(num_chunks):
+        record = (n, gen, 1, 2, 3, 4) if ci == chunk else (0,) * 6
+        ks += struct.pack(serial._SPLIT_CHUNK, *record)
+    payload = np.random.default_rng(k).integers(0, 2, n * r, dtype=np.uint8)
+    blob = serial._container("basic", serial._Header(k, r, n, n, 5, gen), ks, payload)
+    d = serial.deserialize(blob)
+    assert sorted(d.provider.tables) == list(range(gen * k, (gen + 1) * k))
+    keys = [b"q%d" % i for i in range(2000)]
+    members = [key for key in keys if d.provider.chunk_of(key) == chunk]
+    assert members
+    functions = range(gen * k + 1, (gen + 1) * k + 1)  # split_share_value counts from 1
+    for key in members:
+        digest = d.provider.digest(key)
+        words = [hashing.split_share_value(d.provider, chunk, j, digest) for j in functions]
+        expected = 0
+        for j in hashing.distinct_k_set(words, k, n):
+            expected ^= int(d.table[j])
+        assert d.query(key) == expected
+    assert all(d.query(key) == 0 for key in keys if key not in members)
+    assert serial.serialize(d) == blob
+
+
+def _malformed_containers():
+    """Containers with a valid CRC that their decoders reject.  The kind-specific
+    blocks of kinds 1, 4 and 5 are one byte short of their fixed part (the
+    other kinds check their length first), and the compact container's p
+    leaves no binomial mass in its weight range at n = 2,000."""
+    head, none = serial._Header(3, 8, 0, 0, 1, 0), np.zeros(0, dtype=np.uint8)
+    lo, hi = compact.weight_bounds(2000)[:2]
+    return [
+        (serial._container("basic", head, bytes(8), none), "too short"),
+        (serial._container("filter", head, bytes(8), none), "too short"),
+        (serial._container("bloomier", head, bytes(9), none), "too short"),
+        (
+            serial._container(
+                "compact", serial._Header(0, 8, 2000, 2000, 1, 0),
+                struct.pack("<IId", lo, hi, 1e-300), np.zeros(2000 * 8, dtype=np.uint8),
+            ),
+            "no binomial mass",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("blob, message", _malformed_containers())
+def test_malformed_kind_specific_block_is_container_error(tmp_path, capsys, blob, message):
+    with pytest.raises(ContainerError, match=message):
+        serial.deserialize(blob)
+    path = tmp_path / "bad.bin"
+    path.write_bytes(blob)
+    assert main(["stats", "--structure", str(path)]) == EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and message in err
 
 
 def test_payload_bit_corruption_detected():
